@@ -6,7 +6,9 @@ Usage:  PYTHONPATH=src python benchmarks/robustness_probe.py
 
 Times the checkpoint primitives (atomic save, full verification, load)
 and the end-to-end overhead of running journaled vs plain, plus the
-speedup a resume gets from reusing completed spans.  Emits a JSON report
+speedup a resume gets from reusing completed spans.  ``members`` counts
+the zip members of a fresh checkpoint (format v3: the manifest and one
+blob), next to the logical ``arrays`` its manifest maps into the blob.  Emits a JSON report
 that ``benchmarks/summarize.py --robustness`` folds into the markdown
 summary, so the crash-safety tax is tracked next to the reproduction
 metrics.
@@ -19,6 +21,7 @@ import json
 import sys
 import tempfile
 import time
+import zipfile
 from pathlib import Path
 from typing import Callable, List, Optional
 
@@ -89,6 +92,8 @@ def measure(repeats: int = 3, workdir: Optional[Path] = None) -> dict:
         fresh = build_strategy(split)
         load_ms = best_of(lambda: load_checkpoint(fresh, ckpt), repeats)
         manifest = verify_checkpoint(ckpt)
+        with zipfile.ZipFile(ckpt) as archive:
+            members = len(archive.namelist())
 
         start = time.perf_counter()
         run_strategy(build_strategy(split), split, "probe", "ComiRec-DR",
@@ -116,6 +121,7 @@ def measure(repeats: int = 3, workdir: Optional[Path] = None) -> dict:
             "checkpoint": {
                 "size_bytes": ckpt.stat().st_size,
                 "arrays": len(manifest["arrays"]),
+                "members": members,
                 "save_ms": round(save_ms, 3),
                 "verify_ms": round(verify_ms, 3),
                 "load_ms": round(load_ms, 3),

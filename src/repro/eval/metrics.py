@@ -20,9 +20,12 @@ def rank_of_target(scores: np.ndarray, target: int,
     degenerate constant scores.
     """
     target_score = scores[target]
+    if exclude is None:
+        # everything >= the target, less the target itself: the count
+        # :func:`ranks_of_targets` takes, without a mask copy
+        return int(np.count_nonzero(scores >= target_score)) - 1
     mask = np.ones_like(scores, dtype=bool)
-    if exclude is not None:
-        mask[list(exclude)] = False
+    mask[list(exclude)] = False
     mask[target] = False
     return int(np.count_nonzero(scores[mask] >= target_score))
 

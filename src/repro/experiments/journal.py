@@ -155,7 +155,9 @@ class SpanJournal:
             "spans": {str(s): r.to_json() for s, r in sorted(self.spans.items())},
             "incidents": self.incidents,
         }
-        blob = json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
+        # the stream journal's compact encoding (repro.stream.journal)
+        blob = json.dumps(payload, sort_keys=True,
+                          separators=(",", ":")).encode("utf-8")
         atomic_write_bytes(blob, self.path, kind="journal")
 
     @classmethod

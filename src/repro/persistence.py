@@ -10,15 +10,20 @@ stored under ``extra/``).  This module serializes all of that to a
 single ``.npz`` file and restores it into a freshly constructed
 strategy.
 
-Format v2 adds the guarantees a long-lived service needs:
+Format v3 gives the guarantees a long-lived service needs:
 
 * **atomic writes** — the archive is staged to a temp file, fsynced, and
   committed with ``os.replace``; a crash at any instant leaves either
   the old checkpoint or the new one, never a truncated hybrid;
-* **a manifest** — per-array SHA-256 checksums plus run metadata (span
-  index, strategy/model/config fingerprint, and the bit-generator state
-  of every RNG the strategy owns, so a resumed run continues the exact
-  random stream);
+* **a manifest** — per-array SHA-256 checksums, shapes, dtypes and byte
+  offsets plus run metadata (span index, strategy/model/config
+  fingerprint, and the bit-generator state of every RNG the strategy
+  owns, so a resumed run continues the exact random stream);
+* **one blob** — every array's bytes sit back to back, 64-byte aligned,
+  in a single stored (not deflated) ``blob`` member, so a commit writes
+  two zip members however many users the strategy holds; the manifest
+  maps each logical array name (``param/…``, ``user/<u>/…``,
+  ``extra/…``) to its slice of the blob;
 * **verification** — a whole-file SHA-256 trailer is appended after the
   zip archive (zip readers ignore bytes past the end-of-central-directory
   record, so ``np.load`` still opens the file directly), making *any*
@@ -26,8 +31,9 @@ Format v2 adds the guarantees a long-lived service needs:
   additionally re-hashes every array against the manifest, and
   :func:`load_checkpoint` always verifies *before* mutating any state,
   so a corrupt file can never half-restore a strategy;
-* **v1 compatibility** — archives written before the manifest existed
-  still load (zip CRCs are their only integrity check).
+* **compatibility** — v2 archives (one zip member per array) and v1
+  archives written before the manifest existed still load (zip CRCs are
+  a v1 file's only integrity check).
 
 Example
 -------
@@ -41,6 +47,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
+import operator
 import os
 import tempfile
 import zipfile
@@ -62,7 +70,10 @@ PathLike = Union[str, Path]
 
 logger = get_logger(__name__)
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
+
+#: byte alignment of every array's offset inside a v3 ``blob``
+_BLOB_ALIGN = 64
 
 #: whole-file integrity trailer: b"\n" + marker + 64 hex chars + b"\n",
 #: appended after the zip end-of-central-directory record
@@ -100,7 +111,7 @@ class CheckpointIOError(CheckpointError, OSError):
 def normalize_checkpoint_path(path: PathLike) -> Path:
     """Canonical on-disk location for a checkpoint path.
 
-    ``np.savez_compressed`` silently appends ``.npz`` when the suffix is
+    ``np.savez`` silently appends ``.npz`` when the suffix is
     missing; normalizing once in both directions keeps ``save``/``load``
     symmetric for suffix-less paths like ``"span3"``.
     """
@@ -178,8 +189,8 @@ def _collect_arrays(strategy: IncrementalStrategy) -> Dict[str, np.ndarray]:
     arrays: Dict[str, np.ndarray] = {}
     for name, param in strategy.model.named_parameters():
         arrays[f"param/{name}"] = param.data
-    # sorted: the archive member order is part of the determinism
-    # contract (same state -> byte-identical layout), not insertion luck.
+    # sorted: the blob layout order is part of the determinism contract
+    # (same state -> byte-identical layout), not insertion luck.
     # Snapshot-style members are frozen at this capture boundary; live
     # trainables (param/, sa_weights) stay writable for the optimizer.
     for user, state in sorted(strategy.states.items()):
@@ -199,13 +210,44 @@ def _collect_arrays(strategy: IncrementalStrategy) -> Dict[str, np.ndarray]:
     return arrays
 
 
+def _pack_arrays(arrays: Dict[str, np.ndarray]):
+    """Lay ``arrays`` back to back in one uint8 blob, each at a
+    ``_BLOB_ALIGN``-aligned offset; returns the blob and the per-array
+    manifest entries (SHA-256, shape, dtype, offset)."""
+    layout = []
+    end = 0
+    for name, arr in arrays.items():
+        arr = np.ascontiguousarray(arr)
+        offset = -(-end // _BLOB_ALIGN) * _BLOB_ALIGN
+        layout.append((name, arr, offset))
+        end = offset + arr.nbytes
+    blob = np.zeros(end, dtype=np.uint8)
+    # str(dtype) costs microseconds and a checkpoint holds a few dtypes
+    # across hundreds of arrays
+    dtype_names: Dict[np.dtype, str] = {}
+    entries = {}
+    for name, arr, offset in layout:
+        chunk = blob[offset:offset + arr.nbytes]
+        chunk[...] = arr.reshape(-1).view(np.uint8)
+        dtype_name = dtype_names.get(arr.dtype)
+        if dtype_name is None:
+            dtype_name = dtype_names[arr.dtype] = str(arr.dtype)
+        entries[name] = {
+            "sha256": hashlib.sha256(chunk).hexdigest(),
+            "shape": list(arr.shape),
+            "dtype": dtype_name,
+            "offset": offset,
+        }
+    return blob, entries
+
+
 def save_checkpoint(strategy: IncrementalStrategy, path: PathLike,
                     span: Optional[int] = None) -> Path:
     """Atomically serialize model parameters, user states, strategy
     extra state, and RNG streams; returns the normalized path the
     archive landed at."""
     path = normalize_checkpoint_path(path)
-    arrays = _collect_arrays(strategy)
+    blob, entries = _pack_arrays(_collect_arrays(strategy))
 
     manifest = {
         "version": _FORMAT_VERSION,
@@ -218,28 +260,19 @@ def save_checkpoint(strategy: IncrementalStrategy, path: PathLike,
             name: gen.bit_generator.state
             for name, gen in strategy.random_generators().items()
         },
-        "arrays": {
-            name: {
-                "sha256": _array_digest(arr),
-                "shape": list(arr.shape),
-                "dtype": str(arr.dtype),
-            }
-            for name, arr in arrays.items()
-        },
+        "arrays": entries,
     }
-    payload = dict(arrays)
-    payload["manifest"] = np.frombuffer(
-        json.dumps(manifest).encode("utf-8"), dtype=np.uint8
-    )
     with obs.span("checkpoint.save", file=path.name, span_id=span):
         buffer = io.BytesIO()
-        np.savez_compressed(buffer, **payload)
-        blob = buffer.getvalue()
+        np.savez(buffer, manifest=np.frombuffer(
+            json.dumps(manifest).encode("utf-8"), dtype=np.uint8), blob=blob)
+        archive = buffer.getvalue()
         trailer = (b"\n" + _TRAILER_MARKER
-                   + hashlib.sha256(blob).hexdigest().encode("ascii") + b"\n")
-        atomic_write_bytes(blob + trailer, path, kind="checkpoint")
+                   + hashlib.sha256(archive).hexdigest().encode("ascii")
+                   + b"\n")
+        atomic_write_bytes(archive + trailer, path, kind="checkpoint")
         obs.counter("checkpoint.saves")
-        obs.gauge("checkpoint.bytes", len(blob) + len(trailer))
+        obs.gauge("checkpoint.bytes", len(archive) + len(trailer))
     return path
 
 
@@ -264,8 +297,9 @@ def _split_trailer(data: bytes):
 def _read_archive(path: Path, verify: bool = True):
     """Load (manifest, arrays) fully into memory, validating integrity.
 
-    Returns the parsed manifest/meta dict and a ``{name: ndarray}`` map.
-    Every array is read eagerly so zip CRC checks run here, and (for v2)
+    Returns the parsed manifest/meta dict and a ``{name: ndarray}`` map
+    of owned, writable arrays under their logical names.  Every zip
+    member is read eagerly so zip CRC checks run here, and (for v2/v3)
     every SHA-256 is compared against the manifest — all *before* any
     caller mutates strategy state.  Raises :class:`CheckpointError` on
     any corruption, truncation, or malformed metadata.
@@ -277,15 +311,15 @@ def _read_archive(path: Path, verify: bool = True):
     except OSError as err:
         raise CheckpointIOError(
             f"checkpoint {path} cannot be read: {err}") from err
-    blob, declared_digest = _split_trailer(data)
+    archive_bytes, declared_digest = _split_trailer(data)
     if verify and declared_digest is not None:
-        actual = hashlib.sha256(blob).hexdigest()
+        actual = hashlib.sha256(archive_bytes).hexdigest()
         if actual != declared_digest:
             raise CheckpointError(
                 f"checkpoint {path} fails its whole-file SHA-256 check — "
                 f"the file is corrupt or truncated")
     try:
-        with np.load(io.BytesIO(blob), allow_pickle=False) as archive:
+        with np.load(io.BytesIO(archive_bytes), allow_pickle=False) as archive:
             names = list(archive.files)
             if "manifest" in names:
                 meta = json.loads(bytes(archive["manifest"].tobytes()).decode("utf-8"))
@@ -304,19 +338,26 @@ def _read_archive(path: Path, verify: bool = True):
     except (OSError, ValueError, KeyError, EOFError, NotImplementedError,
             zipfile.BadZipFile, zlib.error) as exc:
         # the open-ended exception set zipfile/np.load raise on mangled
-        # input; v2 files never get here corrupt (whole-file hash above)
+        # input; v2/v3 files never get here corrupt (whole-file hash above)
         raise CheckpointError(
             f"checkpoint {path} is corrupt or truncated: {exc}") from exc
 
     version = meta.get("version")
-    if version not in (1, _FORMAT_VERSION):
+    if version not in (1, 2, _FORMAT_VERSION):
         raise CheckpointError(
             f"unsupported checkpoint version {version!r} in {path}")
-    if version == _FORMAT_VERSION and declared_digest is None:
+    if version != 1 and declared_digest is None:
         raise CheckpointError(
-            f"checkpoint {path} declares format v2 but its whole-file "
-            f"integrity trailer is missing or mangled")
-    if verify and version == _FORMAT_VERSION:
+            f"checkpoint {path} declares format v{version} but its "
+            f"whole-file integrity trailer is missing or mangled")
+    if version == _FORMAT_VERSION:
+        if sorted(names) != ["blob", "manifest"]:
+            raise CheckpointError(
+                f"checkpoint {path} holds zip members {sorted(names)[:5]}; "
+                f"format v3 has exactly 'manifest' and 'blob'")
+        arrays = _unpack_blob(path, meta.get("arrays", {}), arrays["blob"],
+                              verify)
+    elif verify and version == 2:
         declared = meta.get("arrays", {})
         if set(declared) != set(arrays):
             missing = sorted(set(declared) - set(arrays))
@@ -338,11 +379,50 @@ def _read_archive(path: Path, verify: bool = True):
     return meta, arrays
 
 
+def _unpack_blob(path: Path, declared: Dict[str, dict], blob: np.ndarray,
+                 verify: bool) -> Dict[str, np.ndarray]:
+    """Slice a v3 ``blob`` back into ``{name: ndarray}`` owned copies.
+
+    Every manifest entry is bounds-checked against the blob before it is
+    sliced, so a malformed offset, shape or dtype raises
+    :class:`CheckpointError` rather than a stray numpy error; with
+    ``verify`` each slice is also re-hashed against its SHA-256.
+    """
+    if blob.dtype != np.uint8 or blob.ndim != 1:
+        raise CheckpointError(
+            f"checkpoint {path} blob is {blob.dtype}{list(blob.shape)}, "
+            f"expected a flat uint8 array")
+    arrays: Dict[str, np.ndarray] = {}
+    for name, entry in declared.items():
+        try:
+            dtype = np.dtype(entry["dtype"])
+            shape = tuple(operator.index(n) for n in entry["shape"])
+            offset = operator.index(entry["offset"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"checkpoint {path} manifest entry {name!r} is malformed: "
+                f"{exc!r}") from exc
+        nbytes = math.prod(shape) * dtype.itemsize
+        if (dtype.hasobject or any(n < 0 for n in shape) or offset < 0
+                or offset + nbytes > blob.size):
+            raise CheckpointError(
+                f"checkpoint {path} array {name!r} ({dtype}{list(shape)} at "
+                f"byte {offset}) is not a valid slice of its "
+                f"{blob.size}-byte blob")
+        chunk = blob[offset:offset + nbytes]
+        if verify and hashlib.sha256(chunk).hexdigest() != entry.get("sha256"):
+            raise CheckpointError(
+                f"checkpoint {path} array {name!r} fails its SHA-256 "
+                f"check — the file was corrupted after writing")
+        arrays[name] = chunk.view(dtype).reshape(shape).copy()
+    return arrays
+
+
 def verify_checkpoint(path: PathLike) -> Dict[str, object]:
     """Fully validate a checkpoint's integrity; returns its manifest.
 
-    For format v2 every array is re-hashed against the manifest; any
-    single flipped byte or truncation raises :class:`CheckpointError`.
+    For formats v2 and v3 every array is re-hashed against the manifest;
+    any single flipped byte or truncation raises :class:`CheckpointError`.
     Format v1 archives only get the zip-level CRC check (every array is
     still read in full, so torn files are rejected).
     """

@@ -129,10 +129,16 @@ def events_from_split(split, seed: int = 0) -> List[StreamEvent]:
     a seeded round-robin-ish shuffle: within each span users take turns
     in seeded random order while each user's own items stay in order —
     the stream a log-structured event bus would deliver.  Timestamps
-    are ``span * 1000 + position``, so span boundaries are visible in
-    event time and staleness tests have room to inject lateness.
+    are ``span * stride + position`` with ``stride`` the larger of 1000
+    and the largest span's event count, so span boundaries are visible
+    in event time, no span's events run into the next span's time range
+    (which would make that span's first events stale), and staleness
+    tests have room to inject lateness.
     """
     rng = np.random.default_rng(seed)
+    stride = float(max([1000] + [
+        sum(len(span.users[user].all_items) for user in span.user_ids())
+        for span in split.spans]))
     triples: List[Tuple[int, int, float]] = []
     for t, span in enumerate(split.spans, start=1):
         pending = [(user, list(span.users[user].all_items))
@@ -142,7 +148,7 @@ def events_from_split(split, seed: int = 0) -> List[StreamEvent]:
         while pending:
             idx = int(rng.integers(len(pending)))
             user, items = pending[idx]
-            triples.append((user, items.pop(0), t * 1000.0 + position))
+            triples.append((user, items.pop(0), t * stride + position))
             position += 1
             if not items:
                 pending.pop(idx)

@@ -162,7 +162,10 @@ class StreamJournal:
             "state": self.state,
             "prev_state": self.prev_state,
         }
-        blob = json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
+        # compact: ``indent=`` would force CPython's pure-Python JSON
+        # encoder, and this runs on every commit
+        blob = json.dumps(payload, sort_keys=True,
+                          separators=(",", ":")).encode("utf-8")
         trailer = (b"\n" + _TRAILER_MARKER
                    + hashlib.sha256(blob).hexdigest().encode("ascii") + b"\n")
         atomic_write_bytes(blob + trailer, self.path, kind="stream-journal")

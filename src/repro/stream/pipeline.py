@@ -50,7 +50,7 @@ import numpy as np
 
 from .. import faults
 from ..autograd import Tensor
-from ..eval.metrics import metrics_from_ranks, ranks_of_targets
+from ..eval.metrics import hit_at_k, ndcg_at_k, rank_of_target
 from ..incremental.strategy import IncrementalStrategy
 from ..nn import Adam, SparseAdam, clip_grad_norm
 from ..obs import prof as _prof
@@ -522,10 +522,9 @@ class _Pipeline:
 
     def _score(self, user: int, item: int) -> Tuple[float, float]:
         """Prequential measurement: rank the item before learning it."""
-        scores = self.strategy.score_user(user)
-        ranks = ranks_of_targets(scores, [item])
-        hits, ndcgs = metrics_from_ranks(ranks, self.config.k)
-        return float(hits[0]), float(ndcgs[0])
+        rank = rank_of_target(self.strategy.score_user(user), item)
+        k = self.config.k
+        return hit_at_k(rank, k), float(ndcg_at_k(rank, k))
 
     def _train_one(self, user: int, item: int,
                    history: Sequence[int]) -> bool:

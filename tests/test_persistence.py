@@ -1,5 +1,7 @@
-"""Tests for checkpoint save/load round-trips and format-v2 integrity."""
+"""Tests for checkpoint save/load round-trips and format-v3 integrity."""
 
+import hashlib
+import io
 import json
 
 import numpy as np
@@ -10,12 +12,20 @@ from repro.faults import FaultPlan, InjectedIOError, SimulatedCrash, active, fli
 from repro.incremental import TrainConfig
 from repro.persistence import (
     CheckpointError,
+    _collect_arrays,
     checkpoint_info,
     load_checkpoint,
     normalize_checkpoint_path,
+    run_fingerprint,
     save_checkpoint,
     verify_checkpoint,
 )
+
+
+def with_trailer(archive: bytes) -> bytes:
+    """``archive`` plus a valid whole-file SHA-256 trailer."""
+    digest = hashlib.sha256(archive).hexdigest().encode("ascii")
+    return archive + b"\nrepro-checkpoint-sha256:" + digest + b"\n"
 
 
 @pytest.fixture()
@@ -180,7 +190,7 @@ class TestPathNormalization:
         save_checkpoint(strategy, tmp_path / "span3")
         fresh = build(tiny_split, fast_config)
         load_checkpoint(fresh, tmp_path / "span3")  # symmetric round trip
-        assert verify_checkpoint(tmp_path / "span3")["version"] == 2
+        assert verify_checkpoint(tmp_path / "span3")["version"] == 3
 
     def test_normalize_is_idempotent(self):
         assert normalize_checkpoint_path("a/b.npz").name == "b.npz"
@@ -201,7 +211,7 @@ class TestIntegrity:
     def test_verify_returns_manifest(self, saved):
         _, path = saved
         meta = verify_checkpoint(path)
-        assert meta["version"] == 2
+        assert meta["version"] == 3
         assert set(meta["rng"]) == {"model", "sampler", "strategy"}
         assert all("sha256" in entry for entry in meta["arrays"].values())
 
@@ -259,6 +269,75 @@ class TestIntegrity:
         _, path = saved
         with np.load(path, allow_pickle=False) as archive:
             assert "manifest" in archive.files
+
+
+class TestBlobArchive:
+    """Format v3: one manifest plus one blob, every slice checked."""
+
+    @pytest.fixture()
+    def saved(self, tiny_split, fast_config, tmp_path):
+        strategy = build(tiny_split, fast_config)
+        strategy.pretrain()
+        path = save_checkpoint(strategy, tmp_path / "ckpt.npz")
+        with np.load(path, allow_pickle=False) as archive:
+            members = sorted(archive.files)
+            manifest = json.loads(archive["manifest"].tobytes().decode("utf-8"))
+            blob = archive["blob"].copy()
+        return strategy, path, members, manifest, blob
+
+    @staticmethod
+    def rewrite(path, manifest, blob, **extra):
+        """Re-archive with a freshly computed valid trailer, so only the
+        manifest and per-array checks stand between the bytes and a load."""
+        buffer = io.BytesIO()
+        np.savez(buffer, manifest=np.frombuffer(
+            json.dumps(manifest).encode("utf-8"), dtype=np.uint8),
+            blob=blob, **extra)
+        path.write_bytes(with_trailer(buffer.getvalue()))
+
+    def test_archive_is_manifest_plus_aligned_blob(self, saved):
+        strategy, _, members, manifest, blob = saved
+        assert members == ["blob", "manifest"]
+        assert blob.dtype == np.uint8 and blob.ndim == 1
+        offsets = [entry["offset"] for entry in manifest["arrays"].values()]
+        assert all(offset % 64 == 0 for offset in offsets)
+        assert offsets == sorted(offsets)
+        assert set(manifest["arrays"]) == set(_collect_arrays(strategy))
+
+    def test_flipped_blob_byte_under_valid_trailer_is_rejected(
+            self, tiny_split, fast_config, saved):
+        _, path, _, manifest, blob = saved
+        entry = manifest["arrays"]["param/item_emb.weight"]
+        blob[entry["offset"] + 5] ^= 0xFF
+        self.rewrite(path, manifest, blob)
+        with pytest.raises(CheckpointError, match="SHA-256"):
+            verify_checkpoint(path)
+        fresh = build(tiny_split, fast_config)
+        snapshot = fresh.model.state_dict()
+        with pytest.raises(CheckpointError, match="SHA-256"):
+            load_checkpoint(fresh, path)
+        for name, value in fresh.model.state_dict().items():
+            assert np.array_equal(value, snapshot[name]), name
+
+    @pytest.mark.parametrize("field", ["offset", "shape"])
+    def test_entry_reaching_past_blob_end_is_rejected(self, saved, field):
+        _, path, _, manifest, blob = saved
+        entry = manifest["arrays"]["param/item_emb.weight"]
+        if field == "offset":
+            entry["offset"] = blob.size - 8
+        else:
+            entry["shape"] = [entry["shape"][0] * 1000, entry["shape"][1]]
+        self.rewrite(path, manifest, blob)
+        with pytest.raises(CheckpointError, match="valid slice"):
+            verify_checkpoint(path)
+        with pytest.raises(CheckpointError, match="valid slice"):
+            checkpoint_info(path)  # unverified reads are bounds-checked too
+
+    def test_extra_member_next_to_blob_is_rejected(self, saved):
+        _, path, _, manifest, blob = saved
+        self.rewrite(path, manifest, blob, extra=np.zeros(3))
+        with pytest.raises(CheckpointError, match="zip members"):
+            verify_checkpoint(path)
 
 
 class TestExtraState:
@@ -368,6 +447,32 @@ class TestV1Compatibility:
             json.dumps(meta).encode("utf-8"), dtype=np.uint8)
         np.savez_compressed(str(path), **arrays)
 
+    def write_v2(self, strategy, path):
+        """Re-create the v2 layout: one deflated member per array."""
+        arrays = _collect_arrays(strategy)
+        manifest = {
+            "version": 2,
+            "strategy": strategy.name,
+            "model_family": strategy.model.family,
+            "users": sorted(strategy.states),
+            "span": None,
+            "fingerprint": run_fingerprint(strategy),
+            "rng": {name: gen.bit_generator.state
+                    for name, gen in strategy.random_generators().items()},
+            "arrays": {
+                name: {"sha256": hashlib.sha256(
+                           np.ascontiguousarray(arr).tobytes()).hexdigest(),
+                       "shape": list(arr.shape), "dtype": str(arr.dtype)}
+                for name, arr in arrays.items()
+            },
+        }
+        payload = dict(arrays)
+        payload["manifest"] = np.frombuffer(
+            json.dumps(manifest).encode("utf-8"), dtype=np.uint8)
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, **payload)
+        path.write_bytes(with_trailer(buffer.getvalue()))
+
     def test_v1_archive_still_loads(self, tiny_split, fast_config, tmp_path):
         strategy = build(tiny_split, fast_config)
         strategy.pretrain()
@@ -395,6 +500,44 @@ class TestV1Compatibility:
         torn.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         with pytest.raises(CheckpointError):
             verify_checkpoint(torn)
+
+    def test_v2_archive_verifies_and_loads_exactly(self, tiny_split,
+                                                   fast_config, tmp_path):
+        strategy = build(tiny_split, fast_config, model="ComiRec-SA")
+        strategy.pretrain()
+        strategy.train_span(1)
+        path = tmp_path / "v2.npz"
+        self.write_v2(strategy, path)
+        assert verify_checkpoint(path)["version"] == 2
+
+        fresh = build(tiny_split, fast_config, model="ComiRec-SA")
+        assert load_checkpoint(fresh, path)["version"] == 2
+        for (name, a), (_, b) in zip(strategy.model.named_parameters(),
+                                     fresh.model.named_parameters()):
+            assert np.array_equal(a.data, b.data), name
+        for user, state in strategy.states.items():
+            restored = fresh.states[user]
+            assert np.array_equal(state.interests, restored.interests)
+            assert np.array_equal(state.prev_interests,
+                                  restored.prev_interests)
+            assert np.array_equal(state.created_span, restored.created_span)
+            assert np.array_equal(state.sa_weights.data,
+                                  restored.sa_weights.data)
+            assert state.n_existing == restored.n_existing
+        for name, gen in strategy.random_generators().items():
+            assert (fresh.random_generators()[name].bit_generator.state
+                    == gen.bit_generator.state)
+
+    def test_v2_flipped_byte_is_rejected(self, tiny_split, fast_config,
+                                         tmp_path):
+        strategy = build(tiny_split, fast_config)
+        path = tmp_path / "v2.npz"
+        self.write_v2(strategy, path)
+        offset = flip_one_byte(path, rng=np.random.default_rng(3))
+        with pytest.raises(CheckpointError):
+            verify_checkpoint(path)
+        flip_one_byte(path, offset=offset)
+        verify_checkpoint(path)  # XOR twice restores the v2 file
 
 
 class TestIOFaults:

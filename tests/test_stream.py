@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.data import WorldConfig, generate_world, split_time_spans
 from repro.data.sampler import NegativeSampler
 from repro.experiments import make_strategy
 from repro.faults import flip_one_byte
@@ -89,6 +90,21 @@ class TestValidationGate:
         assert verdict[0] == "malformed-user"
 
 
+#: spans of ~1430 events, past events_from_split's minimum stride of 1000
+WIDE_CONFIG = WorldConfig(
+    num_users=120, num_items=200, num_topics=8, num_spans=3,
+    pretrain_events_per_user=(4, 6), span_events_per_user=(10, 14),
+    span_activity=1.0, seed=3)
+
+
+@pytest.fixture(scope="module")
+def wide_split():
+    world = generate_world(WIDE_CONFIG)
+    return split_time_spans(world.interactions,
+                            num_items=WIDE_CONFIG.num_items,
+                            T=WIDE_CONFIG.num_spans, alpha=0.5)
+
+
 class TestEventsFromSplit:
     def test_deterministic_and_seed_sensitive(self, tiny_split):
         a = events_from_split(tiny_split, seed=0)
@@ -97,11 +113,15 @@ class TestEventsFromSplit:
         assert a == b
         assert [e.key() for e in a] != [e.key() for e in c]
 
-    def test_seqs_are_contiguous_and_ts_nondecreasing(self, tiny_split):
-        events = events_from_split(tiny_split, seed=0)
-        assert [e.seq for e in events] == list(range(len(events)))
-        ts = [e.ts for e in events]
-        assert ts == sorted(ts)
+    def test_seqs_are_contiguous_and_ts_nondecreasing(self, tiny_split,
+                                                      wide_split):
+        assert max(sum(len(span.users[u].all_items) for u in span.user_ids())
+                   for span in wide_split.spans) > 1000
+        for split in (tiny_split, wide_split):
+            events = events_from_split(split, seed=0)
+            assert [e.seq for e in events] == list(range(len(events)))
+            ts = [e.ts for e in events]
+            assert ts == sorted(ts)
 
     def test_per_user_item_order_preserved(self, tiny_split):
         events = events_from_split(tiny_split, seed=0)

@@ -13,16 +13,24 @@ Layered public API:
 * :mod:`repro.eval` — HR/NDCG, span protocol, significance tests;
 * :mod:`repro.experiments` — drivers regenerating every table and figure;
 * :mod:`repro.analysis` — static analysis enforcing the substrate's
-  autograd/randomness/numerics contracts (``repro lint``);
+  autograd/randomness/numerics contracts (``repro lint``); imported on
+  first access of ``repro.analysis``, since no training, evaluation or
+  streaming run uses it;
 * :mod:`repro.persistence` — crash-safe journaled checkpoints (atomic
   writes, SHA-256 manifests, resume);
 * :mod:`repro.faults` — seeded, deterministic fault injection proving
   the crash-safety properties;
 * :mod:`repro.obs` — structured tracing, metrics, and decision telemetry
   (hierarchical spans, JSONL traces, ``repro trace summarize``).
+
+``import repro`` loads neither the linter nor scipy: scipy is imported
+by :func:`repro.eval.paired_t_test`, the Table III significance test,
+on its first call.
 """
 
-from . import analysis, autograd, backend, data, eval, experiments, incremental, lifelong, models, nn
+import importlib
+
+from . import autograd, backend, data, eval, experiments, incremental, lifelong, models, nn
 from . import faults, obs, persistence, sanitize
 
 __version__ = "1.0.0"
@@ -44,3 +52,10 @@ __all__ = [
     "sanitize",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Import :mod:`repro.analysis` on first attribute access."""
+    if name == "analysis":
+        return importlib.import_module(f"{__name__}.analysis")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -229,15 +229,29 @@ class Tensor:
             bwd_start = time.perf_counter()
             hooks.acc = 0.0
 
-        grads = {id(self): grad}
+        # node id -> its gradient contributions in visit order, summed
+        # once when the node is reached (see _sum_grads)
+        grads = {id(self): [grad]}
         for node in reversed(topo):
-            node_grad = grads.pop(id(node), None)
-            if node_grad is None:
+            contribs = grads.pop(id(node), None)
+            if contribs is None:
                 continue
+            if len(contribs) == 1 and type(contribs[0]) is not _RowGrad:
+                node_grad, built = contribs[0], False
+            elif hooks is not None and \
+                    any(type(c) is _RowGrad for c in contribs):
+                t0 = time.perf_counter()
+                node_grad, built = _sum_grads(node.data, contribs)
+                # the deferred scatters are gather_rows' backward work
+                hooks.on_backward(Tensor.gather_rows,
+                                  time.perf_counter() - t0)
+            else:
+                node_grad, built = _sum_grads(node.data, contribs)
             if not node._backward_fns:
-                # leaf: accumulate
+                # leaf: accumulate (a sum built above is owned by nobody
+                # else, so it needs no defensive copy)
                 if node.grad is None:
-                    node.grad = node_grad.copy()
+                    node.grad = node_grad if built else node_grad.copy()
                 else:
                     node.grad = node.grad + node_grad
                 continue
@@ -248,16 +262,11 @@ class Tensor:
                     hooks.on_backward(fn, time.perf_counter() - t0)
                 else:
                     contrib = fn(node_grad)
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + contrib
+                pending = grads.get(id(parent))
+                if pending is None:
+                    grads[id(parent)] = [contrib]
                 else:
-                    grads[key] = contrib
-        # Any remaining grads belong to leaves reached without backward fns
-        for node in topo:
-            g = grads.get(id(node))
-            if g is not None and not node._backward_fns:
-                node.grad = g if node.grad is None else node.grad + g
+                    pending.append(contrib)
 
         if hooks is not None:
             # topo sort + gradient accumulation: everything in this
@@ -512,14 +521,80 @@ class Tensor:
         a = self
         data = self.data[indices]
 
-        def grad_fn(g: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(a.data)
-            _backend.active.scatter_add(
-                out, indices.reshape(-1),
+        def grad_fn(g: np.ndarray) -> _RowGrad:
+            return _RowGrad(
+                indices.reshape(-1),
                 g.reshape(-1, *a.data.shape[1:]) if indices.ndim > 1 else g)
-            return out
 
         return Tensor._make(data, [(a, grad_fn)])
+
+
+class _RowGrad:
+    """A :meth:`Tensor.gather_rows` gradient left as its lookup:
+    ``table[indices] += updates``, not yet scattered into a table.
+
+    ``backward()`` sums a node's contributions once, when it reaches the
+    node (:func:`_sum_grads`), so a table looked up several times in one
+    graph gets one table-sized gradient instead of one per lookup.
+    """
+
+    __slots__ = ("indices", "updates")
+
+    def __init__(self, indices: np.ndarray, updates: np.ndarray):
+        self.indices = indices
+        self.updates = updates
+
+    def table(self, data: np.ndarray) -> np.ndarray:
+        """The dense gradient: the lookup scattered into zeros."""
+        out = np.zeros_like(data)
+        _backend.active.scatter_add(out, self.indices, self.updates)
+        return out
+
+
+def _sum_grads(data: np.ndarray, contribs: list) -> Tuple[np.ndarray, bool]:
+    """Sum one node's gradient contributions left to right, in visit
+    order; returns ``(grad, built)`` where ``built`` says this function
+    allocated ``grad`` (so nothing else refers to it).
+
+    Bit for bit this is the left-to-right sum of dense contributions in
+    which every lookup is its own ``zeros`` + scatter table:
+
+    * the first lookup scatters into one zeroed table, as before;
+    * while the sum started from such a table, each later lookup adds its
+      per-row segment sum (:meth:`~repro.backend.Backend.segment_sum`) to
+      the rows it touched only.  The old per-lookup table held +0.0 in
+      every other row, and ``x + 0.0 == x`` for every ``x`` but -0.0.
+      Under round-to-nearest a sum is -0.0 only when both terms are, so a
+      sum that started from +0.0 zeros never holds -0.0 and skipping
+      those rows changes nothing.  A segment sum accumulates each row's
+      updates in the order the per-lookup scatter did, with the routine
+      the scatter would choose;
+    * otherwise (a dense contribution came first, which may hold -0.0)
+      a lookup is added as its full table, exactly as before.
+
+    One scatter of all lookups concatenated is *not* equivalent: it would
+    re-associate the sum of a row looked up by several lookups.
+    """
+    total = contribs[0]
+    built = clean = False
+    if type(total) is _RowGrad:
+        total = total.table(data)
+        built = clean = True
+    for contrib in contribs[1:]:
+        if type(contrib) is _RowGrad:
+            if clean:
+                # `data` stands in for the per-lookup table: same shape,
+                # dtype and (so) accumulation routine
+                rows, sums = _backend.active.segment_sum(
+                    data, contrib.indices, contrib.updates)
+                total[rows] += sums
+                continue
+            total = total + contrib.table(data)
+            built = clean = True
+        else:
+            total = total + contrib
+            built = True
+    return total, built
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

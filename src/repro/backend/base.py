@@ -93,6 +93,30 @@ class Backend:
         """In-place ``out[indices] += updates`` with repeat accumulation."""
         np.add.at(out, indices, updates)
 
+    @shape_contract("(N, D) f, _, (...I, D) f -> (R) i, (R, D) f")
+    def segment_sum(self, table: np.ndarray, indices: np.ndarray,
+                    updates: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The rows a scatter into ``table`` would touch, and their sums.
+
+        Returns ``(rows, sums)``: ``rows`` are the sorted unique
+        ``indices`` and ``sums[j]`` holds, in ``table``'s dtype, exactly
+        what :meth:`scatter_add` would leave in row ``rows[j]`` of a
+        zeroed ``table`` — the same accumulation routine, over the same
+        updates in the same order — in a buffer of ``len(rows)`` rows
+        instead of the whole table.
+        """
+        rows, inverse = np.unique(np.asarray(indices).reshape(-1),
+                                  return_inverse=True)
+        sums = np.zeros((rows.size,) + table.shape[1:], dtype=table.dtype)
+        self._accumulate(sums, inverse, updates, table.size)
+        return rows, sums
+
+    def _accumulate(self, out: np.ndarray, idx: np.ndarray,
+                    updates: np.ndarray, table_elems: int) -> None:
+        """``out[idx] += updates`` by the routine :meth:`scatter_add`
+        uses on a table of ``table_elems`` elements."""
+        np.add.at(out, idx, updates)
+
     # ------------------------------------------------------------------ #
     # nonlinearities and reductions
     # ------------------------------------------------------------------ #

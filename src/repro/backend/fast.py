@@ -122,6 +122,23 @@ class FastBackend(Backend):
                           minlength=flat_elems)
         out += acc.reshape(out.shape)
 
+    def _accumulate(self, out: np.ndarray, idx: np.ndarray,
+                    updates: np.ndarray, table_elems: int) -> None:
+        """:meth:`scatter_add`'s routine for :meth:`segment_sum`'s compact
+        buffer, chosen from the *table's* size as :meth:`scatter_add`
+        chooses it: the two routines round float32 differently, and a
+        row sum must round as a scatter into the full table rounds it.
+        (:meth:`scatter_add` keeps its own copy because a contract-checked
+        argument may not be handed to a helper that mutates it, RA804.)"""
+        if idx.size <= 1 or table_elems > (1 << 15):
+            np.add.at(out, idx, updates.reshape(idx.size, -1))
+            return
+        cols = out.shape[1] if out.ndim > 1 else 1
+        flat = (idx[:, None] * cols + np.arange(cols)).ravel()
+        acc = np.bincount(flat, weights=updates.reshape(-1),
+                          minlength=out.size)
+        out += acc.reshape(out.shape)
+
     def end_step(self) -> None:
         """Reclaim step scratch and flush pool counters into repro.obs."""
         self.pool.reclaim()

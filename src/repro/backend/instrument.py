@@ -2,7 +2,8 @@
 
 Wraps a registered backend (paper-exact float64 default or the fast
 float32 backend) and reports every ``gemm`` / ``einsum`` / ``gather`` /
-``scatter_add`` / ``softmax`` call to the active
+``scatter_add`` / ``softmax`` call (``segment_sum`` counts as a
+``scatter_add``) to the active
 :class:`repro.obs.prof.OpProfiler`, tagged with a power-of-two shape
 bucket, estimated FLOPs, and bytes moved.  Allocation, ufuncs, and
 reductions delegate untouched, so the wrapped backend's numerics are
@@ -166,6 +167,20 @@ class InstrumentedBackend(Backend):
         prof.record_backend_op(
             "scatter_add", dur, _prof.shape_bucket(updates.size),
             float(updates.size), 2 * updates.nbytes + out.nbytes)
+
+    def segment_sum(self, table: np.ndarray, indices: np.ndarray,
+                    updates: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Recorded as a ``scatter_add``: it is one, into a compact buffer."""
+        prof = _prof._PROFILER
+        if prof is None:
+            return self.inner.segment_sum(table, indices, updates)
+        t0 = _perf()
+        rows, sums = self.inner.segment_sum(table, indices, updates)
+        dur = _perf() - t0
+        prof.record_backend_op(
+            "scatter_add", dur, _prof.shape_bucket(updates.size),
+            float(updates.size), 2 * updates.nbytes + sums.nbytes)
+        return rows, sums
 
     def softmax(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
         prof = _prof._PROFILER

@@ -100,6 +100,9 @@ class Adam(Optimizer):
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._steps = [0 for _ in self.params]
+        #: (shape, dtype) -> two work buffers for :meth:`_dense_update`,
+        #: shared by every parameter of that shape
+        self._scratch: Dict[tuple, tuple] = {}
 
     def add_param(self, param: Parameter) -> None:
         super().add_param(param)
@@ -140,18 +143,43 @@ class Adam(Optimizer):
                        dtype=m.dtype)
         self._m[i] = np.concatenate([m, pad], axis=0)
         self._v[i] = np.concatenate([self._v[i], np.zeros_like(pad)], axis=0)
+        # the grown table no longer uses work buffers of its old shape
+        self._scratch.pop((m.shape, m.dtype), None)
 
     def _dense_update(self, i: int, p: Parameter) -> None:
+        """One Adam step, written in place into ``m``, ``v``, ``p.data``
+        and two reused work buffers.
+
+        The IEEE operations and their order are exactly those of
+        ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
+        ``p -= lr*m_hat / (sqrt(v_hat) + eps)``, so the result is bit
+        for bit what that out-of-place formula gives, without the dozen
+        parameter-sized temporaries it allocates per step.
+        """
+        m, v = self._m[i], self._v[i]
+        key = (m.shape, m.dtype)
+        work = self._scratch.get(key)
+        if work is None:
+            work = self._scratch[key] = (np.empty_like(m), np.empty_like(m))
+        tmp, step = work
         grad = p.grad
         if self.weight_decay:
-            grad = grad + self.weight_decay * p.data
+            # g + wd*p, held in `step` until the moments are updated
+            grad = np.add(grad, np.multiply(p.data, self.weight_decay,
+                                            out=step), out=step)
         self._steps[i] += 1
         t = self._steps[i]
-        self._m[i] = self.beta1 * self._m[i] + (1 - self.beta1) * grad
-        self._v[i] = self.beta2 * self._v[i] + (1 - self.beta2) * grad * grad
-        m_hat = self._m[i] / (1 - self.beta1 ** t)
-        v_hat = self._v[i] / (1 - self.beta2 ** t)
-        p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        np.multiply(m, self.beta1, out=m)
+        m += np.multiply(grad, 1 - self.beta1, out=tmp)
+        np.multiply(v, self.beta2, out=v)
+        np.multiply(grad, 1 - self.beta2, out=tmp)
+        v += np.multiply(tmp, grad, out=tmp)
+        np.divide(v, 1 - self.beta2 ** t, out=tmp)           # v_hat
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        np.divide(m, 1 - self.beta1 ** t, out=step)          # m_hat
+        np.multiply(step, self.lr, out=step)
+        p.data -= np.divide(step, tmp, out=step)
 
 
 class SparseAdam(Adam):
@@ -288,26 +316,28 @@ def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
     Row-sparse parameters (see :func:`touched_rows`) contribute only
     their touched rows to the norm — the remaining rows hold exact
     zeros, so the result is identical while skipping the O(rows * d)
-    scan and scale of the full table.
+    scan and scale of the full table.  Profiled as the ``optim.clip``
+    kernel.
     """
-    params = [p for p in params if p.grad is not None]
-    total_sq = 0.0
-    sparse: List[tuple] = []
-    for p in params:
-        rows = touched_rows(p)
-        if rows is not None and p.data.ndim >= 1:
-            sub = p.grad[rows]
-            total_sq += float((sub ** 2).sum())
-            sparse.append((p, rows))
-        else:
-            total_sq += float((p.grad ** 2).sum())
-            sparse.append((p, None))
-    total = float(np.sqrt(total_sq))
-    if total > max_norm and total > 0:
-        scale = max_norm / total
-        for p, rows in sparse:
-            if rows is None:
-                p.grad = p.grad * scale
+    with _prof.op("optim.clip"):
+        params = [p for p in params if p.grad is not None]
+        total_sq = 0.0
+        sparse: List[tuple] = []
+        for p in params:
+            rows = touched_rows(p)
+            if rows is not None and p.data.ndim >= 1:
+                sub = p.grad[rows]
+                total_sq += float((sub ** 2).sum())
+                sparse.append((p, rows))
             else:
-                p.grad[rows] *= scale
+                total_sq += float((p.grad ** 2).sum())
+                sparse.append((p, None))
+        total = float(np.sqrt(total_sq))
+        if total > max_norm and total > 0:
+            scale = max_norm / total
+            for p, rows in sparse:
+                if rows is None:
+                    p.grad = p.grad * scale
+                else:
+                    p.grad[rows] *= scale
     return total

@@ -16,6 +16,8 @@ import repro.backend as backend
 from repro.autograd import Tensor
 from repro.backend.instrument import InstrumentedBackend, einsum_flops
 from repro.experiments import run_strategy
+from repro.models import ComiRecDR
+from repro.nn import Adam, clip_grad_norm
 from repro.obs import prof as _prof
 from repro.obs import (
     MemTracker,
@@ -216,6 +218,28 @@ class TestKernelAttribution:
         assert 0.0 < train["frac"] <= 1.05  # clock granularity slack
         assert attribution["overall"]["kernel_s"] == \
             pytest.approx(train["kernel_s"])
+
+    def test_per_user_step_records_the_clip_kernel(self):
+        """Gradient clipping runs numpy between backward() and the
+        optimizer step; without its own scope that time is unattributed."""
+        model = ComiRecDR(50, dim=8, num_interests=2, seed=0)
+        state = model.init_user_state(0)
+        opt = Adam(list(model.parameters()), lr=0.01)
+        prof = start_profiling(memory=False)
+        with _prof.phase("train"):
+            interests = model.compute_interests(state, [1, 2, 3, 4, 2])
+            loss = model.loss_targets(interests, [5, 9],
+                                      np.array([[6, 7, 8], [3, 6, 1]]))
+            opt.zero_grad()
+            loss.backward()
+            clip_grad_norm(opt.params, 5.0)
+            opt.step()
+        stop_profiling(emit=False)
+        count, total = prof.kernels[("train", "optim.clip")]
+        assert count == 1 and total > 0
+        ops = {op for (_, op) in prof.kernels}
+        # the deferred row sums of the item table stay gather_rows' cost
+        assert {"optim.step", "bwd.gather_rows"} <= ops
 
     def test_report_sorts_and_truncates(self):
         prof = start_profiling(autograd=False, memory=False,

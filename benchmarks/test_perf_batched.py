@@ -1,4 +1,9 @@
-"""Performance: batched vs per-user interest extraction (inference path)."""
+"""Performance: batched vs per-user interest extraction (inference path).
+
+Times the no-grad snapshot refresh both ways: per-user
+``compute_interests`` calls, and one :func:`batched_compute_interests`
+over all users, which is what ``TrainConfig.batched_snapshots`` runs.
+"""
 
 import time
 
@@ -6,7 +11,8 @@ import numpy as np
 
 from conftest import report
 
-from repro.models import ComiRecDR, batched_extract_dr
+from repro.autograd import no_grad
+from repro.models import ComiRecDR, batched_compute_interests
 from repro.experiments import shape_check
 
 
@@ -22,13 +28,15 @@ def test_perf_batched_extraction(run_once):
             seq = rng.integers(0, 2000, size=int(rng.integers(8, 40))).tolist()
             jobs.append((state, seq))
 
-        start = time.perf_counter()
-        slow = [model.compute_interests(s, seq).data for s, seq in jobs]
-        per_user_s = time.perf_counter() - start
+        with no_grad():
+            start = time.perf_counter()
+            slow = [model.compute_interests(s, seq).data for s, seq in jobs]
+            per_user_s = time.perf_counter() - start
 
-        start = time.perf_counter()
-        fast = batched_extract_dr(model, jobs)
-        batched_s = time.perf_counter() - start
+            start = time.perf_counter()
+            interests, _, ks = batched_compute_interests(model, jobs)
+            fast = [interests.data[b, :k] for b, k in enumerate(ks)]
+            batched_s = time.perf_counter() - start
 
         max_err = max(
             float(np.abs(a - b).max()) for a, b in zip(slow, fast)
@@ -41,7 +49,7 @@ def test_perf_batched_extraction(run_once):
         shape_check("batched extraction outputs match per-user (1e-8)",
                     max_err < 1e-8),
         # the per-user path is already numpy-bound, so the win is the
-        # removed graph/python overhead; padding waste caps it on ragged
+        # removed python overhead; padding waste caps it on ragged
         # batches
         shape_check("batched extraction is not slower than per-user",
                     speedup >= 1.0),

@@ -591,10 +591,10 @@ class RawBlasBypassesBackend(Rule):
                 if parts[1] in _RAW_GEMM_CALLS:
                     yield self.finding(
                         ctx, node,
-                        f"'{name}' calls BLAS directly, so backend selection "
-                        f"(dtype, pooling, fusion) cannot reach it; use "
-                        f"repro.backend.active.{parts[1]} "
-                        f"(or the gemm/einsum backend ops)")
+                        f"'{name}' calls BLAS directly, so the backend and "
+                        f"its profiler instrumentation cannot see it; use "
+                        f"repro.backend.active.einsum or the Tensor @ "
+                        f"operator")
             elif (len(parts) == 3 and parts[0] in ("np", "numpy")
                     and parts[1] in _SCATTER_UFUNCS and parts[2] == "at"
                     and node.args and is_buffer_access(node.args[0])):

@@ -82,7 +82,12 @@ def binary_cross_entropy(pred: Tensor, target: Tensor, eps: float = 1e-9) -> Ten
 
     Used by the EIR distillation loss (Eq. 10) where both arguments are
     sigmoid-softened logits, following Wang et al.'s practical formulation.
+
+    The clip bound is at least the dtype's machine epsilon: in float32,
+    ``1 - 1e-9`` rounds to ``1.0``, so a saturated sigmoid would reach
+    ``log(0)``.  In float64 the bound stays ``eps``.
     """
+    eps = max(eps, float(np.finfo(pred.data.dtype).eps))
     pred = pred.clip(eps, 1.0 - eps)
     loss = -(target * pred.log() + (1.0 - target) * (1.0 - pred).log())
     return loss.mean()

@@ -1,11 +1,13 @@
 """The backend interface and the paper-exact NumPy float64 default.
 
-A backend is the narrow waist between the autograd/nn substrate and raw
-array math: allocation, GEMM/einsum contractions, gather/scatter-add,
-softmax, the elementwise ufuncs the models use, and reductions.  The
-default :class:`NumpyBackend` delegates every op to the literal numpy
-call the substrate used before this layer existed, at ``float64`` — so
-the default path stays byte-for-byte identical to the paper-exact
+A backend holds what the autograd/nn substrate reads from it: the
+compute dtype, scratch buffers for the fused kernels, the einsum
+contractions of the unfused batched routing, and the scatter-add /
+segment-sum of the embedding backward.  Everything else (GEMMs, gathers,
+ufuncs, reductions) calls numpy directly.  The default
+:class:`NumpyBackend` delegates every op to the literal numpy call the
+substrate used before this layer existed, at ``float64`` — so the
+default path stays byte-for-byte identical to the paper-exact
 reproduction.  :class:`repro.backend.fast.FastBackend` overrides the
 dtype, adds a scratch-buffer pool, and flips on the fused kernels in
 :mod:`repro.backend.fused`.
@@ -53,13 +55,6 @@ class Backend:
         """Convert to an ndarray in this backend's compute dtype."""
         return np.asarray(value, dtype=self.compute_dtype)
 
-    def allocate(self, shape: Tuple[int, ...]) -> np.ndarray:
-        """Uninitialised compute-dtype array (pooled on fast backends)."""
-        return np.empty(shape, dtype=self.compute_dtype)
-
-    def zeros(self, shape: Tuple[int, ...]) -> np.ndarray:
-        return np.zeros(shape, dtype=self.compute_dtype)
-
     def scratch(self, shape: Tuple[int, ...], pooled: bool = True) -> np.ndarray:
         """Uninitialised scratch buffer for kernel intermediates.
 
@@ -71,21 +66,11 @@ class Backend:
         return np.empty(shape, dtype=self.compute_dtype)
 
     # ------------------------------------------------------------------ #
-    # contractions and lookups
+    # contractions and scatters
     # ------------------------------------------------------------------ #
-    @shape_contract("(...B, M, K) f, (...B, K, N) f -> (...B, M, N) f")
-    def gemm(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix multiply (batched when both operands are batched)."""
-        return a @ b
-
     def einsum(self, spec: str, *operands: np.ndarray) -> np.ndarray:
         """General tensor contraction (``np.einsum`` semantics)."""
         return np.einsum(spec, *operands)
-
-    @shape_contract("(N, D) f, _ -> (...I, D) f")
-    def gather(self, table: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """Row lookup: ``out[..., :] = table[indices[...], :]``."""
-        return table[indices]
 
     @shape_contract("(N, D) f, _, (...I, D) f -> _")
     def scatter_add(self, out: np.ndarray, indices: np.ndarray,
@@ -116,34 +101,6 @@ class Backend:
         """``out[idx] += updates`` by the routine :meth:`scatter_add`
         uses on a table of ``table_elems`` elements."""
         np.add.at(out, idx, updates)
-
-    # ------------------------------------------------------------------ #
-    # nonlinearities and reductions
-    # ------------------------------------------------------------------ #
-    @shape_contract("(...S) f -> (...S) f")
-    def softmax(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
-        """Numerically stable softmax (shifted exp), matching
-        :func:`repro.autograd.ops.softmax` exactly."""
-        shifted = x - x.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=axis, keepdims=True)
-
-    def exp(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(x)
-
-    def log(self, x: np.ndarray) -> np.ndarray:
-        return np.log(x)
-
-    def tanh(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(x)
-
-    def reduce_sum(self, x: np.ndarray, axis=None,
-                   keepdims: bool = False) -> np.ndarray:
-        return x.sum(axis=axis, keepdims=keepdims)
-
-    def reduce_max(self, x: np.ndarray, axis=None,
-                   keepdims: bool = False) -> np.ndarray:
-        return x.max(axis=axis, keepdims=keepdims)
 
     # ------------------------------------------------------------------ #
     # lifecycle

@@ -25,7 +25,8 @@ are expanded with numpy views (no extra graph nodes) and every parent
 gradient drops the leading batch axis on the way out.
 
 This module imports :mod:`repro.autograd` and therefore must only be
-imported lazily from model code, never from ``repro.backend.__init__``.
+imported from model code, never from ``repro.backend.__init__`` (the
+tensor engine imports the backend package to learn its dtype).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from .. import backend as _backend
 from ..autograd import Tensor, is_grad_enabled
 
-_NEG = -1e30  # additive mask for padded positions (matches batched_train)
+_NEG = -1e30  # additive mask for padded positions
 
 
 def _scratch(shape) -> np.ndarray:
@@ -69,7 +70,7 @@ def _squeeze0(parents):
 # ---------------------------------------------------------------------- #
 def _masked_softmax_items(logits: np.ndarray,
                           item_mask: Optional[np.ndarray]) -> np.ndarray:
-    """Replicates ``models.batched._masked_softmax_over_items`` numerics.
+    """Softmax over the items of (B, n, K) logits, masking padding.
 
     With ``item_mask=None`` (per-user call: every slot real) this equals
     the per-user ``_softmax_over_items`` exactly — the masking terms

@@ -1,14 +1,12 @@
 """InstrumentedBackend: per-op timing/FLOP/byte wrapper for any backend.
 
 Wraps a registered backend (paper-exact float64 default or the fast
-float32 backend) and reports every ``gemm`` / ``einsum`` / ``gather`` /
-``scatter_add`` / ``softmax`` call (``segment_sum`` counts as a
-``scatter_add``) to the active
+float32 backend) and reports every ``einsum`` and ``scatter_add`` call
+(``segment_sum`` counts as a ``scatter_add``) to the active
 :class:`repro.obs.prof.OpProfiler`, tagged with a power-of-two shape
-bucket, estimated FLOPs, and bytes moved.  Allocation, ufuncs, and
-reductions delegate untouched, so the wrapped backend's numerics are
-bit-identical to the bare one — instrumenting changes *observations*,
-never *results*.
+bucket, estimated FLOPs, and bytes moved.  Allocation delegates
+untouched, so the wrapped backend's numerics are bit-identical to the
+bare one — instrumenting changes *observations*, never *results*.
 
 With no active profiler every instrumented op costs one module-attribute
 load plus a ``None`` check before delegating (the standard disabled-probe
@@ -26,13 +24,6 @@ from ..obs import prof as _prof
 from .base import Backend
 
 __all__ = ["InstrumentedBackend", "einsum_flops"]
-
-
-def _batch_elems(shape: Tuple[int, ...]) -> int:
-    n = 1
-    for dim in shape:
-        n *= int(dim)
-    return n
 
 
 def einsum_flops(spec: str, *operands: np.ndarray) -> float:
@@ -80,54 +71,17 @@ class InstrumentedBackend(Backend):
         return f"InstrumentedBackend({self.inner!r})"
 
     # ------------------------------------------------------------------ #
-    # uninstrumented delegation (allocation, ufuncs, reductions)
+    # uninstrumented delegation (allocation)
     # ------------------------------------------------------------------ #
     def asarray(self, value) -> np.ndarray:
         return self.inner.asarray(value)
 
-    def allocate(self, shape) -> np.ndarray:
-        return self.inner.allocate(shape)
-
-    def zeros(self, shape) -> np.ndarray:
-        return self.inner.zeros(shape)
-
     def scratch(self, shape, pooled: bool = True) -> np.ndarray:
         return self.inner.scratch(shape, pooled=pooled)
-
-    def exp(self, x: np.ndarray) -> np.ndarray:
-        return self.inner.exp(x)
-
-    def log(self, x: np.ndarray) -> np.ndarray:
-        return self.inner.log(x)
-
-    def tanh(self, x: np.ndarray) -> np.ndarray:
-        return self.inner.tanh(x)
-
-    def reduce_sum(self, x, axis=None, keepdims: bool = False):
-        return self.inner.reduce_sum(x, axis=axis, keepdims=keepdims)
-
-    def reduce_max(self, x, axis=None, keepdims: bool = False):
-        return self.inner.reduce_max(x, axis=axis, keepdims=keepdims)
 
     # ------------------------------------------------------------------ #
     # instrumented ops
     # ------------------------------------------------------------------ #
-    def gemm(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        prof = _prof._PROFILER
-        if prof is None:
-            return self.inner.gemm(a, b)
-        t0 = _perf()
-        out = self.inner.gemm(a, b)
-        dur = _perf() - t0
-        m, k = a.shape[-2], a.shape[-1]
-        n = b.shape[-1]
-        batch = _batch_elems(a.shape[:-2])
-        prof.record_backend_op(
-            "gemm", dur, _prof.shape_bucket(m, k, n),
-            2.0 * batch * m * k * n,
-            a.nbytes + b.nbytes + out.nbytes)
-        return out
-
     def einsum(self, spec: str, *operands: np.ndarray) -> np.ndarray:
         prof = _prof._PROFILER
         if prof is None:
@@ -141,18 +95,6 @@ class InstrumentedBackend(Backend):
         prof.record_backend_op(
             f"einsum[{spec}]", dur, _prof.shape_bucket(out.size),
             einsum_flops(spec, *operands), moved)
-        return out
-
-    def gather(self, table: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        prof = _prof._PROFILER
-        if prof is None:
-            return self.inner.gather(table, indices)
-        t0 = _perf()
-        out = self.inner.gather(table, indices)
-        dur = _perf() - t0
-        prof.record_backend_op(
-            "gather", dur, _prof.shape_bucket(out.size),
-            0.0, 2 * out.nbytes)
         return out
 
     def scatter_add(self, out: np.ndarray, indices: np.ndarray,
@@ -181,18 +123,6 @@ class InstrumentedBackend(Backend):
             "scatter_add", dur, _prof.shape_bucket(updates.size),
             float(updates.size), 2 * updates.nbytes + sums.nbytes)
         return rows, sums
-
-    def softmax(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
-        prof = _prof._PROFILER
-        if prof is None:
-            return self.inner.softmax(x, axis=axis)
-        t0 = _perf()
-        out = self.inner.softmax(x, axis=axis)
-        dur = _perf() - t0
-        prof.record_backend_op(
-            "softmax", dur, _prof.shape_bucket(x.size),
-            5.0 * x.size, x.nbytes + out.nbytes)
-        return out
 
     # ------------------------------------------------------------------ #
     # lifecycle

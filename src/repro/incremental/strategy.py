@@ -30,7 +30,7 @@ from ..data.sampler import NegativeSampler
 from ..data.schema import SpanDataset, TemporalSplit
 from ..faults import fire as _fault_probe
 from ..models.base import MSRModel, UserState
-from ..nn import Adam, clip_grad_norm
+from ..nn import Adam, SparseAdam, clip_grad_norm
 from ..obs import prof as _prof
 from ..obs import trace as obs
 from ..sanitize import capture as _capture
@@ -245,11 +245,8 @@ class IncrementalStrategy:
         params = list(self.model.parameters())
         involved = [self.states[p.user] for p in payloads]
         params.extend(self.model.user_parameters(involved))
-        if getattr(self.config, "sparse_adam", False):
-            from ..nn import SparseAdam
-
-            return SparseAdam(params, lr=self.config.lr)
-        return Adam(params, lr=self.config.lr)
+        optimizer = SparseAdam if self.config.sparse_adam else Adam
+        return optimizer(params, lr=self.config.lr)
 
     def _train(
         self,
@@ -258,7 +255,6 @@ class IncrementalStrategy:
         loss_hook: Optional[Callable[[UserState, Tensor, UserPayload], Optional[Tensor]]] = None,
         epoch_hook: Optional[Callable[[int, UserPayload], None]] = None,
         interests_hook: Optional[Callable[[UserState, Tensor], Tensor]] = None,
-        optimizer: Optional[Adam] = None,
         val_fn: Optional[Callable[[], float]] = None,
     ) -> None:
         """The core loop: per user, extract interests once and score all
@@ -279,8 +275,8 @@ class IncrementalStrategy:
         """
         if not payloads:
             return
-        opt = optimizer or self._optimizer(payloads)
-        group_size = max(1, int(getattr(self.config, "users_per_batch", 1)))
+        opt = self._optimizer(payloads)
+        group_size = max(1, int(self.config.users_per_batch))
         from ..models.batched_train import supports_batched_training
 
         use_groups = group_size > 1 and supports_batched_training(self.model)
@@ -320,12 +316,14 @@ class IncrementalStrategy:
         loss_hook=None,
         epoch_hook=None,
         interests_hook=None,
-    ) -> None:
-        """One user's training step — the paper-exact per-user path."""
+    ) -> bool:
+        """One user's training step — the paper-exact per-user path, and
+        the stream's per-event step (one target, no hooks).  Returns
+        whether the step was taken."""
         state = self.states[payload.user]
         if epoch_hook is not None:
             epoch_hook(epoch, payload)
-            opt = self._sync_optimizer(opt, state)
+        opt = self._sync_optimizer(opt, state)
         interests = self.model.compute_interests(state, payload.history)
         if interests_hook is not None:
             interests = interests_hook(state, interests)
@@ -337,26 +335,10 @@ class IncrementalStrategy:
             extra = loss_hook(state, interests, payload)
             if extra is not None:
                 loss = loss + extra
-        mods = _fault_probe("train-step", step=self._fault_step,
-                            user=payload.user)
-        self._fault_step += 1
-        if mods.get("poison_nan"):
-            loss = loss * Tensor(float("nan"), requires_grad=False)
-        if not np.isfinite(loss.data).all():
-            # failure containment: a non-finite loss (degenerate
-            # negatives, exploded logits) must not poison the
-            # parameters — skip this user's step
-            obs.counter("train.nonfinite_skips")
-            return
-        if obs.enabled():
-            obs.counter("train.steps")
-            obs.observe("train.loss", float(loss.data))
-        opt.zero_grad()
-        loss.backward()
-        clip_grad_norm(opt.params, self.config.grad_clip)
-        opt.step()
-        self.model.item_emb.zero_padding_row()
+        if not self._step(loss, opt, payload.user):
+            return False
         state.interests = _capture(interests.data.copy())
+        return True
 
     def _train_group(
         self,
@@ -411,27 +393,36 @@ class IncrementalStrategy:
                 extra = loss_hook(state, t, payload)
                 if extra is not None:
                     loss = loss + extra
-        mods = _fault_probe("train-step", step=self._fault_step,
-                            user=group[0].user)
+        if not self._step(loss, opt, group[0].user):
+            return
+        obs.observe("batched.group_size", len(group))
+        for b, (state, _) in enumerate(jobs):
+            source = per_user[b].data if per_user is not None else (
+                interests.data[b, :ks[b]])
+            state.interests = _capture(source.copy())
+
+    def _step(self, loss: Tensor, opt: Adam, user: int) -> bool:
+        """One optimizer step on ``loss``; False when it was skipped.
+
+        One fault probe fires per step.  Failure containment: a
+        non-finite loss (degenerate negatives, exploded logits) must not
+        poison the parameters, so its step is skipped and counted."""
+        mods = _fault_probe("train-step", step=self._fault_step, user=user)
         self._fault_step += 1
         if mods.get("poison_nan"):
             loss = loss * Tensor(float("nan"), requires_grad=False)
         if not np.isfinite(loss.data).all():
             obs.counter("train.nonfinite_skips")
-            return
+            return False
         if obs.enabled():
             obs.counter("train.steps")
             obs.observe("train.loss", float(loss.data))
-            obs.observe("batched.group_size", len(group))
         opt.zero_grad()
         loss.backward()
         clip_grad_norm(opt.params, self.config.grad_clip)
         opt.step()
         self.model.item_emb.zero_padding_row()
-        for b, (state, _) in enumerate(jobs):
-            source = per_user[b].data if per_user is not None else (
-                interests.data[b, :ks[b]])
-            state.interests = _capture(source.copy())
+        return True
 
     def _payload_val_score(self, payloads: Sequence[UserPayload]) -> float:
         """Mean HR@20 of each payload's last target against the catalog —
@@ -483,7 +474,7 @@ class IncrementalStrategy:
 
     def _refresh_snapshots_impl(self, span: SpanDataset,
                                 interests_hook: Optional[Callable]) -> None:
-        if getattr(self.config, "batched_snapshots", False):
+        if self.config.batched_snapshots:
             from ..models.batched_train import (
                 batched_snapshot_interests,
                 supports_batched_training,

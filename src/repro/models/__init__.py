@@ -13,7 +13,6 @@ from .mind import MIND
 from .comirec_dr import ComiRecDR
 from .comirec_sa import ComiRecSA
 from .controllable import category_diversity, greedy_controllable_selection, recommend
-from .batched import batched_extract_dr, batched_snapshot_refresh
 from .batched_train import (
     batched_compute_interests,
     batched_loss_targets,
@@ -54,8 +53,6 @@ __all__ = [
     "recommend",
     "greedy_controllable_selection",
     "category_diversity",
-    "batched_extract_dr",
-    "batched_snapshot_refresh",
     "batched_compute_interests",
     "batched_loss_targets",
     "batched_snapshot_interests",

@@ -39,18 +39,23 @@ import numpy as np
 from .. import backend as _backend
 from ..autograd import Tensor, concat, pad_rows, stack
 from ..autograd.ops import log_softmax, softmax, squash
+from ..backend.fused import (
+    _NEG,
+    _masked_softmax_items,
+    _squash_np,
+    fused_dr_interests,
+    fused_sa_interests,
+    fused_sampled_softmax,
+)
 from ..contracts import shape_contract
 from ..nn import Parameter
 from ..obs import prof as _prof
 from ..obs import trace as obs
 from ..sanitize import capture as _capture
 from .base import MSRModel, UserState
-from .batched import _masked_softmax_over_items
 from .comirec_dr import ComiRecDR
 from .comirec_sa import ComiRecSA
 from .mind import MIND
-
-_NEG = -1e30  # additive mask for padded positions
 
 #: ``(state, history items)`` — one user's extraction job
 Job = Tuple[UserState, Sequence[int]]
@@ -156,8 +161,6 @@ def _extract_dr(model: MSRModel, jobs: Sequence[Job]):
                 0.0, model.logit_std, size=(len(seq), ks[b]))
 
     if _backend.active.fused:
-        from ..backend.fused import fused_dr_interests
-
         interests = fused_dr_interests(
             e_hat, capsules, item_mask, capsule_mask,
             extra_logits if isinstance(model, MIND) else None,
@@ -170,11 +173,11 @@ def _extract_dr(model: MSRModel, jobs: Sequence[Job]):
         logits = ein("bnd,bkd->bnk", e_np, capsules) + extra_logits
         iterations = model.routing_iterations
         for _ in range(iterations - 1):
-            coupling = _masked_softmax_over_items(logits, item_mask)
-            capsules = _squash_np_batch(ein("bnk,bnd->bkd", coupling, e_np))
+            coupling = _masked_softmax_items(logits, item_mask)
+            capsules = _squash_np(ein("bnk,bnd->bkd", coupling, e_np))
             logits = logits + ein("bnd,bkd->bnk", e_np, capsules)
 
-        coupling = _masked_softmax_over_items(logits, item_mask)
+        coupling = _masked_softmax_items(logits, item_mask)
         coupling = coupling * capsule_mask[:, None, :]  # kill padded capsules
     interests = squash(Tensor(coupling).swapaxes(1, 2) @ e_hat)
     return interests, capsule_mask, ks
@@ -198,8 +201,6 @@ def _extract_sa(model: ComiRecSA, jobs: Sequence[Job]):
         user_ws.append(w)
 
     if _backend.active.fused:
-        from ..backend.fused import fused_sa_interests
-
         interests = fused_sa_interests(embs, model.w1, user_ws, item_mask,
                                        capsule_mask)
         return interests, capsule_mask, ks
@@ -217,11 +218,6 @@ def _extract_sa(model: ComiRecSA, jobs: Sequence[Job]):
     attn = attn * Tensor(capsule_mask[:, None, :].astype(embs.data.dtype))
     interests = attn.swapaxes(1, 2) @ embs           # Eq. 9 -> (B, K_max, d)
     return interests, capsule_mask, ks
-
-
-def _squash_np_batch(x: np.ndarray, eps: float = 1e-9) -> np.ndarray:
-    sq_norm = (x * x).sum(axis=-1, keepdims=True)
-    return x * (sq_norm / (1.0 + sq_norm) / np.sqrt(sq_norm + eps))
 
 
 @shape_contract("_, () -> (B, K, D) f, (B, K) b")
@@ -287,8 +283,6 @@ def batched_loss_targets(
     neg_embs = neg_embs.reshape(batch, m_max, num_neg, model.dim)
 
     if _backend.active.fused:
-        from ..backend.fused import fused_sampled_softmax
-
         return fused_sampled_softmax(interests, target_embs, neg_embs,
                                      capsule_mask, weights)
 

@@ -5,8 +5,8 @@ take*; this module answers *where inside the span the time and memory
 went*.  Three hook families feed one :class:`OpProfiler`:
 
 * **backend ops** — :class:`repro.backend.instrument.InstrumentedBackend`
-  wraps any registered backend and times ``gemm`` / ``einsum`` /
-  ``gather`` / ``scatter_add`` / ``softmax``, recording call counts,
+  wraps any registered backend and times ``einsum`` / ``scatter_add``
+  (``segment_sum`` counts as a ``scatter_add``), recording call counts,
   estimated FLOPs, and bytes moved, aggregated by
   ``(phase, op, shape bucket)``;
 * **autograd nodes** — :class:`repro.autograd.Tensor` calls
@@ -271,9 +271,9 @@ class OpProfiler:
         time used for the attribution fraction.
     ``backend_ops``
         ``(phase, op, bucket) -> [count, total_s, flops, bytes]`` for the
-        five instrumented backend ops.  These run *inside* kernels (a
-        ``fwd.matmul`` sandwich contains its ``gemm``), so they are a
-        drill-down, not part of the attribution sum.
+        instrumented backend ops.  These run *inside* kernels (a
+        ``bwd.gather_rows`` backward contains its ``scatter_add``), so
+        they are a drill-down, not part of the attribution sum.
     ``span_ops``
         ``(span path, op) -> [count, total_s]`` — kernel samples keyed by
         the open span stack, feeding flamegraph leaf frames.

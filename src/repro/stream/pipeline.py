@@ -9,8 +9,10 @@ The pipeline consumes a chronological event stream and, per event:
    interests (test-then-learn: the score is an honest out-of-sample
    measurement, taken before the event can influence the model) and
    fold hit@k / NDCG@k into a sliding window;
-3. **learn** — one incremental training step on the event (skipped in
-   degraded mode: the event is queued in the bounded ingest buffer);
+3. **learn** — one incremental training step on the event: the span
+   trainer's per-user step with the event's item as its one target
+   (skipped in degraded mode: the event is queued in the bounded
+   ingest buffer);
 4. **commit** — every ``checkpoint_every`` source events the model
    checkpoint and the offset journal land atomically
    (checkpoint-before-journal ordering, seeded retry-with-backoff on
@@ -49,15 +51,16 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .. import faults
-from ..autograd import Tensor
 from ..eval.metrics import hit_at_k, ndcg_at_k, rank_of_target
-from ..incremental.strategy import IncrementalStrategy
-from ..nn import Adam, SparseAdam, clip_grad_norm
+from ..incremental.strategy import IncrementalStrategy, UserPayload
+# the learn step clips inside IncrementalStrategy._step; clip_grad_norm
+# stays importable here because benchmarks/e2e/layers.py patches this
+# name when it times the stream
+from ..nn import Adam, clip_grad_norm  # noqa: F401
 from ..obs import prof as _prof
 from ..obs import trace as obs
 from ..obs.metrics import LATENCY_EDGES
 from ..persistence import load_checkpoint, run_fingerprint, save_checkpoint
-from ..sanitize import capture as _capture
 from .events import (
     GateConfig,
     Quarantine,
@@ -532,44 +535,21 @@ class _Pipeline:
         if not history:
             self.counters["skipped_no_history"] += 1
             return False
-        strategy = self.strategy
-        state = strategy.states[user]
-        opt = self._optimizer()
-        if state.sa_weights is not None and not opt.has_param(state.sa_weights):
-            opt.add_param(state.sa_weights)
-        tail = list(history)[-self.config.max_history:]
-        interests = strategy.model.compute_interests(state, tail)
-        negatives = strategy.sampler.sample(item)[None, :]
-        loss = strategy.model.loss_targets(interests, [item], negatives)
-        mods = faults.fire("train-step", step=strategy._fault_step,
-                           user=user)
-        strategy._fault_step += 1
-        if mods.get("poison_nan"):
-            loss = loss * Tensor(float("nan"), requires_grad=False)
-        if not np.isfinite(loss.data).all():
-            # same containment rule as the span trainer: a non-finite
-            # loss must not reach the parameters
-            obs.counter("train.nonfinite_skips")
-            self.counters["nonfinite_skips"] += 1
-            return False
-        opt.zero_grad()
-        loss.backward()
-        clip_grad_norm(opt.params, strategy.config.grad_clip)
-        opt.step()
-        strategy.model.item_emb.zero_padding_row()
-        state.interests = _capture(interests.data.copy())
-        return True
+        payload = UserPayload(user=user,
+                              history=list(history)[-self.config.max_history:],
+                              targets=[item])
+        if self.strategy._train_user(payload, 0, self._optimizer()):
+            return True
+        self.counters["nonfinite_skips"] += 1
+        return False
 
     def _optimizer(self) -> Adam:
         """The interval's optimizer (fresh per commit interval, so a
         resumed run rebuilds identical optimizer state from the
-        boundary; moment rows auto-grow with the embedding table)."""
+        boundary; moment rows auto-grow with the embedding table).
+        Users' SA weights join it as their events arrive."""
         if self._opt is None:
-            params = list(self.strategy.model.parameters())
-            if getattr(self.strategy.config, "sparse_adam", False):
-                self._opt = SparseAdam(params, lr=self.strategy.config.lr)
-            else:
-                self._opt = Adam(params, lr=self.strategy.config.lr)
+            self._opt = self.strategy._optimizer(())
         return self._opt
 
     def _enqueue_pending(self, entry: dict) -> None:

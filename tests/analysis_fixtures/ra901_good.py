@@ -6,7 +6,7 @@ from repro import backend as _backend
 def extract(e_hat, capsules, coupling):
     ein = _backend.active.einsum
     logits = ein("nd,kd->nk", e_hat, capsules)
-    pooled = _backend.active.gemm(coupling.T, e_hat)
+    pooled = ein("nk,nd->kd", coupling, e_hat)
     score = float(pooled[0] @ capsules[0])  # the @ operator is fine
     return logits, pooled, score
 

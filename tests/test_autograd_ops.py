@@ -5,6 +5,7 @@ import pytest
 
 from repro.autograd import Tensor, check_gradients, concat, stack, where
 from repro.autograd import ops
+from repro.backend import FastBackend, use_backend
 
 
 class TestSoftmax:
@@ -96,6 +97,18 @@ class TestLosses:
         target = Tensor(rng.uniform(0.2, 0.8, size=(5,)))
         check_gradients(
             lambda l: ops.binary_cross_entropy(l.sigmoid(), target), [logits])
+
+    def test_bce_finite_over_saturated_float32_sigmoid(self):
+        # float32 rounds 1 - 1e-9 to 1.0 and sigmoid(40) to exactly 1.0,
+        # so a clip bound below the dtype's epsilon reaches log(0)
+        with use_backend(FastBackend(blas_threads=None)):
+            logits = Tensor([40.0, -40.0, 20.0], requires_grad=True)
+            target = Tensor([0.5, 0.5, 1.0])
+            loss = ops.binary_cross_entropy(logits.sigmoid(), target)
+            loss.backward()
+        assert loss.data.dtype == np.float32
+        assert np.isfinite(loss.data)
+        assert np.isfinite(logits.grad).all()
 
     def test_soft_ce_minimized_when_matching(self, rng):
         logits = rng.normal(size=(3, 4))

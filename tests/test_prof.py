@@ -130,13 +130,20 @@ class TestInstrumentedBackend:
         wrapped = InstrumentedBackend(inner)
         a = rng.standard_normal((5, 7))
         b = rng.standard_normal((7, 3))
-        logits = rng.standard_normal((4, 6))
-        np.testing.assert_array_equal(wrapped.gemm(a, b), inner.gemm(a, b))
-        np.testing.assert_array_equal(
-            wrapped.softmax(logits), inner.softmax(logits))
         np.testing.assert_array_equal(
             wrapped.einsum("ij,jk->ik", a, b),
             inner.einsum("ij,jk->ik", a, b))
+        dt = inner.compute_dtype
+        table = np.zeros((6, 3), dtype=dt)
+        indices = np.array([4, 1, 4, 0])
+        updates = rng.standard_normal((4, 3)).astype(dt)
+        via_wrapper, via_inner = table.copy(), table.copy()
+        wrapped.scatter_add(via_wrapper, indices, updates)
+        inner.scatter_add(via_inner, indices, updates)
+        np.testing.assert_array_equal(via_wrapper, via_inner)
+        for got, want in zip(wrapped.segment_sum(table, indices, updates),
+                             inner.segment_sum(table, indices, updates)):
+            np.testing.assert_array_equal(got, want)
 
     def test_rewrapping_unwraps_first(self):
         inner = backend.active
@@ -147,19 +154,26 @@ class TestInstrumentedBackend:
         prof = start_profiling(autograd=False, memory=False)
         with _prof.phase("test"):
             wrapped = backend.active
-            a = rng.standard_normal((8, 16))
-            b = rng.standard_normal((16, 4))
-            wrapped.gemm(a, b)
-            wrapped.gemm(a, b)
-            wrapped.softmax(rng.standard_normal((4, 10)))
+            e = rng.standard_normal((2, 5, 8))
+            caps = rng.standard_normal((2, 3, 8))
+            wrapped.einsum("bnd,bkd->bnk", e, caps)
+            wrapped.einsum("bnd,bkd->bnk", e, caps)
+            dt = wrapped.compute_dtype
+            table = np.zeros((6, 3), dtype=dt)
+            updates = rng.standard_normal((4, 3)).astype(dt)
+            wrapped.scatter_add(table, np.array([4, 1, 4, 0]), updates)
+            wrapped.segment_sum(table, np.array([2, 2, 3, 5]), updates)
         stop_profiling(emit=False)
         rows = {(phase, op): entry
                 for (phase, op, _), entry in prof.backend_ops.items()}
-        gemm = rows[("test", "gemm")]
-        assert gemm[0] == 2  # count
-        assert gemm[2] == pytest.approx(2 * (2.0 * 8 * 16 * 4))  # flops
-        assert gemm[3] > 0  # bytes moved
-        assert ("test", "softmax") in rows
+        einsum = rows[("test", "einsum[bnd,bkd->bnk]")]
+        assert einsum[0] == 2  # count
+        assert einsum[2] == pytest.approx(2 * (2.0 * 2 * 5 * 8 * 3))  # flops
+        assert einsum[3] > 0  # bytes moved
+        scatter = rows[("test", "scatter_add")]
+        assert scatter[0] == 2  # segment_sum records as a scatter_add
+        assert scatter[2] == pytest.approx(2 * updates.size)
+        assert scatter[3] > 0
 
     def test_einsum_flops_knows_the_routing_contractions(self, rng):
         e = rng.standard_normal((2, 5, 8))

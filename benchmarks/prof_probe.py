@@ -40,7 +40,7 @@ from repro.incremental import TrainConfig
 #: minimum fraction of train-phase wall time attributed to named kernels
 ATTRIBUTION_FLOOR = 0.90
 
-#: the perf probe's "large" world — big enough that per-op recording
+#: a 96-user, 800-item world — big enough that per-op recording
 #: overhead amortizes into realistic kernel durations
 WORLD = WorldConfig(
     num_users=96, num_items=800, num_topics=12,

@@ -3,24 +3,8 @@
 
 Usage:  python benchmarks/summarize.py bench_output.txt
             [--lint lint.json] [--contracts src]
-            [--robustness robustness.json] [--perf BENCH_perf.json]
-            [--obs BENCH_obs.json] [--sanitize BENCH_sanitize.json]
-            [--stream BENCH_stream.json]
-
-Regression mode::
-
-    python benchmarks/summarize.py --regress BENCH_perf.json \
-        --history BENCH_history.jsonl [--slack F]
-
-compares the current ``perf_probe.py`` report against the tracked
-perf-trajectory history (one flattened-metrics JSON line per past run,
-appended by ``perf_probe.py --history``).  Every metric with at least
-three history points gets a noise-aware threshold — four robust MADs
-relative to the median, clamped to [10%, 18%], times ``--slack`` —
-and the step exits 1 when any wall-clock metric (``*_s``) lands above
-it or any speedup floor (``*_speedup``) lands below it.  A 20% slowdown
-therefore always fails at the default slack while run-to-run jitter
-passes.
+            [--robustness robustness.json] [--obs BENCH_obs.json]
+            [--sanitize BENCH_sanitize.json] [--stream BENCH_stream.json]
 
 Parses the ``===== <title> =====`` sections and the ``N/M shape checks
 hold`` lines the bench harness prints, and emits the markdown summary
@@ -31,16 +15,16 @@ row so lint counts are tracked next to the reproduction metrics; with
 functions / total public functions) is appended as well; with
 ``--robustness``, the checkpoint/resume latency report emitted by
 ``benchmarks/robustness_probe.py`` is folded in as a row group; with
-``--perf``, the batched-engine speedups emitted by
-``benchmarks/perf_probe.py`` are folded in the same way; with
 ``--obs``, the instrumentation-overhead report emitted by
-``benchmarks/obs_probe.py`` is folded in as well; with ``--sanitize``,
-the write-guard overhead report emitted by
+``benchmarks/obs_probe.py`` is folded in the same way; with
+``--sanitize``, the write-guard overhead report emitted by
 ``benchmarks/sanitize_probe.py`` is folded in alongside it; with
 ``--stream``, the streaming-pipeline throughput/quarantine/recovery
-report emitted by ``benchmarks/stream_probe.py`` is folded in too —
-and the events/sec regression floor embedded in that report is
-asserted, so a throughput regression fails the summary step.
+report emitted by ``benchmarks/stream_probe.py`` is folded in too.
+
+Performance is gated elsewhere: ``benchmarks/e2e`` times the real
+workloads, and CI compares a change against its merge-base with
+``benchmarks/e2e/compare.py``.
 """
 
 from __future__ import annotations
@@ -167,39 +151,6 @@ def parse_robustness(text: str) -> List[Tuple[str, str]]:
     return rows
 
 
-def parse_perf(text: str) -> List[Tuple[str, str]]:
-    """Turn a ``perf_probe.py`` JSON report into table rows."""
-    payload = json.loads(text)
-    if payload.get("tool") != "repro.perf":
-        raise ValueError(
-            f"not a perf report (tool={payload.get('tool')!r})")
-    upb = payload.get("users_per_batch", "?")
-    rows: List[Tuple[str, str]] = []
-    for scale, entry in payload.get("scales", {}).items():
-        world = entry.get("world", {})
-        cells = []
-        for layer in ("train", "extract", "eval"):
-            section = entry.get(layer, {})
-            cells.append(f"{layer} x{section.get('speedup', 0)}")
-        rows.append((
-            f"{scale} ({world.get('users', '?')}u/"
-            f"{world.get('items', '?')}i, B={upb})",
-            "  ".join(cells),
-        ))
-        backend = entry.get("backend")
-        if backend:
-            # speedups here are measured against the *batched default*
-            # path above, not the per-user baseline
-            rows.append((
-                f"{scale} [{backend.get('name', '?')} backend]",
-                f"train x{backend.get('train_speedup', 0)}  "
-                f"extract x{backend.get('extract_speedup', 0)}  "
-                f"eval x{backend.get('eval_speedup', 0)}  "
-                f"hr_drift {backend.get('hr_drift', 0)}",
-            ))
-    return rows
-
-
 def parse_obs(text: str) -> List[Tuple[str, str]]:
     """Turn an ``obs_probe.py`` JSON report into table rows."""
     payload = json.loads(text)
@@ -249,11 +200,7 @@ def parse_sanitize(text: str) -> List[Tuple[str, str]]:
 
 
 def parse_stream(text: str) -> List[Tuple[str, str]]:
-    """Turn a ``stream_probe.py`` JSON report into table rows.
-
-    Also enforces the report's embedded events/sec regression floor —
-    a report below its own floor raises, failing the summary step.
-    """
+    """Turn a ``stream_probe.py`` JSON report into table rows."""
     payload = json.loads(text)
     if payload.get("tool") != "repro.stream":
         raise ValueError(
@@ -262,11 +209,6 @@ def parse_stream(text: str) -> List[Tuple[str, str]]:
     quarantine = payload.get("quarantine", {})
     recovery = payload.get("recovery", {})
     eps = float(throughput.get("events_per_sec", 0.0))
-    floor = float(throughput.get("events_per_sec_floor", 0.0))
-    if eps < floor:
-        raise ValueError(
-            f"stream throughput regression: {eps} events/sec is below "
-            f"the {floor} floor")
     reasons = quarantine.get("quarantined", {})
     per_reason = ", ".join(f"{reason}={count}"
                            for reason, count in sorted(reasons.items()))
@@ -274,7 +216,7 @@ def parse_stream(text: str) -> List[Tuple[str, str]]:
     latency = recovery.get("recovery_latency_s")
     rows = [
         ("throughput",
-         f"{eps:.0f} events/sec (floor {floor:.0f}), journal "
+         f"{eps:.0f} events/sec, journal "
          f"{throughput.get('journal_overhead_pct', 0):+.1f}%, "
          f"{throughput.get('intervals_committed', 0)} intervals"),
         ("quarantine",
@@ -289,163 +231,10 @@ def parse_stream(text: str) -> List[Tuple[str, str]]:
     return rows
 
 
-def flatten_perf_metrics(report: dict) -> dict:
-    """Flatten a ``perf_probe.py`` report into regression-trackable scalars.
-
-    Naming carries the comparison direction: ``*_s`` metrics are wall
-    times (regress when they grow), ``*_speedup`` metrics are ratios
-    that must not shrink.  Only finite, positive values are kept — a
-    degenerate timing must not poison the history.
-    """
-    if report.get("tool") != "repro.perf":
-        raise ValueError(
-            f"not a perf report (tool={report.get('tool')!r})")
-    flat: dict = {}
-    for scale, entry in report.get("scales", {}).items():
-        for layer in ("train", "extract", "eval"):
-            section = entry.get(layer, {})
-            flat[f"{scale}.{layer}_s"] = section.get("batched_s")
-            flat[f"{scale}.{layer}_speedup"] = section.get("speedup")
-        backend = entry.get("backend", {})
-        for layer in ("train", "extract", "eval"):
-            flat[f"{scale}.backend_{layer}_s"] = backend.get(f"{layer}_s")
-            flat[f"{scale}.backend_{layer}_speedup"] = backend.get(
-                f"{layer}_speedup")
-    return {
-        name: float(value) for name, value in flat.items()
-        if isinstance(value, (int, float)) and value > 0.0
-        and value == value and value not in (float("inf"), float("-inf"))
-    }
-
-
-def read_history(path: Path) -> List[dict]:
-    """Parse a BENCH_history.jsonl file into metric dicts (torn-line
-    tolerant, like the trace reader)."""
-    entries: List[dict] = []
-    if not path.exists():
-        return entries
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(record, dict) and isinstance(
-                record.get("metrics"), dict):
-            entries.append(record)
-    return entries
-
-
-#: regression-threshold clamp: never tighter than 10% (timer jitter on
-#: shared CI runners) and never looser than 18% (so an injected 20%
-#: slowdown always fails at slack 1.0)
-THRESHOLD_FLOOR = 0.10
-THRESHOLD_CEIL = 0.18
-#: history points required before a metric is gated
-MIN_HISTORY = 3
-
-
-def _median(values: List[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
-def regression_check(current: dict, history: List[dict],
-                     slack: float = 1.0) -> Tuple[List[dict], List[dict]]:
-    """Compare current metrics against history; returns (rows, failures).
-
-    Per metric: the historical median is the reference, and the relative
-    threshold is ``clamp(4 * MAD/median, floor, ceil) * slack`` — wide
-    when past runs were noisy, but bounded so real regressions cannot
-    hide.  ``*_s`` metrics fail above ``median * (1 + thr)``; every
-    other metric (``*_speedup``) fails below ``median * (1 - thr)``.
-    """
-    rows: List[dict] = []
-    failures: List[dict] = []
-    series: dict = {}
-    for entry in history:
-        for name, value in entry["metrics"].items():
-            if isinstance(value, (int, float)) and value > 0:
-                series.setdefault(name, []).append(float(value))
-    for name in sorted(current):
-        values = series.get(name, [])
-        if len(values) < MIN_HISTORY:
-            rows.append({"metric": name, "value": current[name],
-                         "status": f"skipped ({len(values)} history "
-                                   f"point(s), need {MIN_HISTORY})"})
-            continue
-        median = _median(values)
-        mad = _median([abs(v - median) for v in values])
-        rel = (4.0 * mad / median) if median > 0 else THRESHOLD_CEIL
-        threshold = min(THRESHOLD_CEIL, max(THRESHOLD_FLOOR, rel)) * slack
-        value = float(current[name])
-        if name.endswith("_s"):
-            limit = median * (1.0 + threshold)
-            failed = value > limit
-            direction = "<="
-        else:
-            limit = median * (1.0 - threshold)
-            failed = value < limit
-            direction = ">="
-        row = {
-            "metric": name, "value": value, "median": median,
-            "threshold_pct": round(100.0 * threshold, 1),
-            "limit": round(limit, 6), "n_history": len(values),
-            "status": "FAIL" if failed else "ok",
-            "direction": direction,
-        }
-        rows.append(row)
-        if failed:
-            failures.append(row)
-    return rows, failures
-
-
-def run_regression(current_path: Path, history_path: Path,
-                   slack: float) -> int:
-    """``--regress`` entry point: gate the current perf report."""
-    try:
-        current = flatten_perf_metrics(
-            json.loads(current_path.read_text()))
-    except (OSError, ValueError) as exc:
-        print(f"error: could not read perf report {current_path}: {exc}",
-              file=sys.stderr)
-        return 2
-    history = read_history(history_path)
-    if not history:
-        print(f"error: no usable history in {history_path}; seed it with "
-              f"`perf_probe.py --history {history_path}`", file=sys.stderr)
-        return 2
-    rows, failures = regression_check(current, history, slack=slack)
-    gated = [r for r in rows if "median" in r]
-    print(f"perf regression gate: {len(gated)} metric(s) gated against "
-          f"{len(history)} history run(s), slack x{slack:g}")
-    for row in rows:
-        if "median" not in row:
-            print(f"  {row['metric']:<32} {row['value']:<10g} "
-                  f"{row['status']}")
-            continue
-        print(f"  {row['metric']:<32} {row['value']:<10g} "
-              f"{row['direction']} {row['limit']:<10g} "
-              f"(median {row['median']:g} ±{row['threshold_pct']}%) "
-              f"{row['status']}")
-    if failures:
-        print(f"FAIL: {len(failures)} metric(s) regressed beyond the "
-              f"noise-aware threshold", file=sys.stderr)
-        return 1
-    print("no regressions")
-    return 0
-
-
 def to_markdown(sections: List[Tuple[str, int, int]],
                 lint: Optional[Tuple[str, str]] = None,
                 coverage: Optional[List[Tuple[str, int, int]]] = None,
                 robustness: Optional[List[Tuple[str, str]]] = None,
-                perf: Optional[List[Tuple[str, str]]] = None,
                 obs: Optional[List[Tuple[str, str]]] = None,
                 sanitize: Optional[List[Tuple[str, str]]] = None,
                 stream: Optional[List[Tuple[str, str]]] = None) -> str:
@@ -470,9 +259,6 @@ def to_markdown(sections: List[Tuple[str, int, int]],
     if robustness:
         for label, cell in robustness:
             lines.append(f"| robustness: {label} | {cell} |")
-    if perf:
-        for label, cell in perf:
-            lines.append(f"| perf: {label} | {cell} |")
     if obs:
         for label, cell in obs:
             lines.append(f"| obs: {label} | {cell} |")
@@ -500,34 +286,14 @@ def _take_flag(args: List[str], flag: str) -> Optional[str]:
 
 def main(argv: List[str]) -> int:
     args = list(argv[1:])
-    regress_path = _take_flag(args, "--regress")
-    history_path = _take_flag(args, "--history")
-    slack_value = _take_flag(args, "--slack")
-    if regress_path is not None:
-        if regress_path == "" or history_path in (None, "") or args:
-            print(__doc__)
-            return 2
-        try:
-            slack = float(slack_value) if slack_value else 1.0
-        except ValueError:
-            print(f"error: bad --slack value {slack_value!r}",
-                  file=sys.stderr)
-            return 2
-        return run_regression(Path(regress_path), Path(history_path),
-                              slack=slack)
-    if history_path is not None or slack_value is not None:
-        print("error: --history/--slack only apply with --regress",
-              file=sys.stderr)
-        return 2
     lint_path = _take_flag(args, "--lint")
     contracts_root = _take_flag(args, "--contracts")
     robustness_path = _take_flag(args, "--robustness")
-    perf_path = _take_flag(args, "--perf")
     obs_path = _take_flag(args, "--obs")
     sanitize_path = _take_flag(args, "--sanitize")
     stream_path = _take_flag(args, "--stream")
     if (lint_path == "" or contracts_root == "" or robustness_path == ""
-            or perf_path == "" or obs_path == "" or sanitize_path == ""
+            or obs_path == "" or sanitize_path == ""
             or stream_path == "" or len(args) != 1):
         print(__doc__)
         return 2
@@ -559,14 +325,6 @@ def main(argv: List[str]) -> int:
             print(f"error: could not read robustness report "
                   f"{robustness_path}: {exc}", file=sys.stderr)
             return 2
-    perf = None
-    if perf_path is not None:
-        try:
-            perf = parse_perf(Path(perf_path).read_text())
-        except (OSError, ValueError) as exc:
-            print(f"error: could not read perf report {perf_path}: {exc}",
-                  file=sys.stderr)
-            return 2
     obs = None
     if obs_path is not None:
         try:
@@ -592,7 +350,7 @@ def main(argv: List[str]) -> int:
                   f"{stream_path}: {exc}", file=sys.stderr)
             return 2
     print(to_markdown(sections, lint=lint, coverage=coverage,
-                      robustness=robustness, perf=perf, obs=obs,
+                      robustness=robustness, obs=obs,
                       sanitize=sanitize, stream=stream))
     return 0
 

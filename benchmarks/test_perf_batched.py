@@ -1,8 +1,21 @@
-"""Performance: batched vs per-user interest extraction (inference path).
+"""Performance: batched vs per-user training and interest extraction.
 
-Times the no-grad snapshot refresh both ways: per-user
-``compute_interests`` calls, and one :func:`batched_compute_interests`
-over all users, which is what ``TrainConfig.batched_snapshots`` runs.
+Three measurements:
+
+* the no-grad snapshot refresh both ways: per-user
+  ``compute_interests`` calls, and one :func:`batched_compute_interests`
+  over all users, which is what ``TrainConfig.batched_snapshots`` runs;
+* two asserted floors on a 96-user, 800-item world, best of 3 each:
+  one pretraining epoch with the batched engine (groups of 8, batched
+  snapshots) at least ``TRAIN_SPEEDUP_FLOOR`` times faster than
+  per-user, and differentiable extraction (autograd on) after that
+  epoch at least ``EXTRACT_SPEEDUP_FLOOR`` times faster than per-user.
+
+The floors back up the end-to-end comparison, which alone does not
+reliably catch a 2x slowdown of either layer: an injected 2x extraction
+slowdown moved ``span-ft-eval-wide``'s wall time by 15-43% across
+paired runs, on both sides of the 24% bound, and a 2x training
+slowdown read ``unresolved`` while other work loaded the machine.
 """
 
 import time
@@ -10,10 +23,58 @@ import time
 import numpy as np
 
 from conftest import report
+from prof_probe import WORLD as LARGE_WORLD
 
 from repro.autograd import no_grad
+from repro.data import generate_world, split_time_spans
+from repro.experiments import make_strategy, shape_check
+from repro.incremental import TrainConfig
+from repro.incremental.strategy import build_payloads
 from repro.models import ComiRecDR, batched_compute_interests
-from repro.experiments import shape_check
+
+#: asserted floors on batched / per-user wall time
+TRAIN_SPEEDUP_FLOOR = 1.5
+EXTRACT_SPEEDUP_FLOOR = 2.0
+
+
+def best_of(fn, repeats=3):
+    """Best-of-N wall time in seconds (robust to scheduler noise)."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def large_split():
+    world = generate_world(LARGE_WORLD)
+    return split_time_spans(world.interactions,
+                            num_items=LARGE_WORLD.num_items,
+                            T=LARGE_WORLD.num_spans, alpha=0.5)
+
+
+def large_strategy(split, users_per_batch=1):
+    """IMSR x ComiRec-DR for one pretraining epoch; ``users_per_batch``
+    above 1 turns on the batched engine with batched snapshots."""
+    config = TrainConfig(epochs_pretrain=1, epochs_incremental=1,
+                         num_negatives=10, seed=0,
+                         users_per_batch=users_per_batch,
+                         batched_snapshots=users_per_batch > 1)
+    return make_strategy("IMSR", "ComiRec-DR", split, config,
+                         model_kwargs={"dim": 32, "num_interests": 4})
+
+
+def assert_floor(title, per_user_s, batched_s, floor):
+    speedup = per_user_s / max(batched_s, 1e-9)
+    report(
+        title,
+        f"per-user: {per_user_s*1000:.1f} ms   batched: {batched_s*1000:.1f} ms"
+        f"   speedup: {speedup:.1f}x (floor {floor}x)",
+        [shape_check(f"batched >= {floor}x per-user", speedup >= floor)],
+    )
+    assert speedup >= floor, (
+        f"batched x{speedup:.2f} is under the x{floor} floor")
 
 
 def test_perf_batched_extraction(run_once):
@@ -60,3 +121,32 @@ def test_perf_batched_extraction(run_once):
         f"   speedup: {speedup:.1f}x   max err: {max_err:.2e}",
         checks,
     )
+
+
+def test_perf_batched_training_floor(run_once):
+    def build():
+        split = large_split()
+        per_user_s = best_of(lambda: large_strategy(split).pretrain())
+        batched_s = best_of(
+            lambda: large_strategy(split, users_per_batch=8).pretrain())
+        return per_user_s, batched_s
+
+    assert_floor("Performance: one pretraining epoch, batched (B=8) floor",
+                 *run_once(build), TRAIN_SPEEDUP_FLOOR)
+
+
+def test_perf_batched_extraction_floor(run_once):
+    def build():
+        split = large_split()
+        strategy = large_strategy(split)
+        strategy.pretrain()
+        model = strategy.model
+        jobs = [(strategy.states[p.user], p.history)
+                for p in build_payloads(split.pretrain, strategy.config)]
+        per_user_s = best_of(
+            lambda: [model.compute_interests(s, seq) for s, seq in jobs])
+        batched_s = best_of(lambda: batched_compute_interests(model, jobs))
+        return per_user_s, batched_s
+
+    assert_floor("Performance: differentiable extraction floor",
+                 *run_once(build), EXTRACT_SPEEDUP_FLOOR)

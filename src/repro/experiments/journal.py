@@ -14,6 +14,11 @@ committed *before* the journal entry that references it, so a journal
 entry always points at a complete checkpoint.  Conversely a checkpoint
 without a journal entry is simply retrained on resume.
 
+Since version 2 the file carries a whole-file SHA-256 trailer, like
+the stream journal, so a flipped byte that still parses as JSON fails
+the load instead of changing a resumed run's metrics.  A version 1
+file (no trailer) is refused with an error that names its version.
+
 The journal also accumulates **incidents**: structured records of
 divergence rollbacks (non-finite parameters or metrics detected after a
 span) so operational failures are data, not log noise.
@@ -28,12 +33,16 @@ from typing import Dict, List, Optional, Union
 
 from ..eval import EvalResult
 from ..obs import trace as obs
-from ..persistence import atomic_write_bytes, verify_checkpoint, CheckpointError
+from ..persistence import (CheckpointError, atomic_write_bytes, seal, unseal,
+                           verify_checkpoint)
 
 PathLike = Union[str, Path]
 
-_JOURNAL_VERSION = 1
+#: version 2 seals the file with a SHA-256 trailer; version 1 had none
+_JOURNAL_VERSION = 2
 JOURNAL_NAME = "journal.json"
+#: marks the whole-file SHA-256 trailer (:func:`repro.persistence.seal`)
+_TRAILER_MARKER = b"repro-span-journal-sha256:"
 
 __all__ = ["SpanJournal", "SpanRecord", "JournalError", "JournalIOError",
            "JOURNAL_NAME"]
@@ -121,6 +130,15 @@ class SpanRecord:
         return record
 
 
+def _unsealed_version(data: bytes) -> Optional[object]:
+    """The ``version`` of a journal written without a trailer (version
+    1), or None when ``data`` is not a whole JSON document."""
+    try:
+        return json.loads(data).get("version")
+    except (ValueError, AttributeError):
+        return None
+
+
 class SpanJournal:
     """Atomic, append-per-span journal for one run directory."""
 
@@ -158,7 +176,8 @@ class SpanJournal:
         # the stream journal's compact encoding (repro.stream.journal)
         blob = json.dumps(payload, sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
-        atomic_write_bytes(blob, self.path, kind="journal")
+        atomic_write_bytes(seal(blob, _TRAILER_MARKER), self.path,
+                           kind="journal")
 
     @classmethod
     def load(cls, directory: PathLike) -> "SpanJournal":
@@ -166,13 +185,23 @@ class SpanJournal:
         if not path.exists():
             raise JournalError(f"no journal at {path}")
         try:
-            text = path.read_text()
+            data = path.read_bytes()
         except OSError as err:
             raise JournalIOError(
                 f"journal {path} cannot be read: {err}") from err
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as err:
+            blob = unseal(data, _TRAILER_MARKER)
+        except ValueError as err:
+            unsealed = _unsealed_version(data)
+            if unsealed not in (None, _JOURNAL_VERSION):
+                raise JournalError(
+                    f"unsupported journal version {unsealed!r} at {path}: "
+                    f"version {_JOURNAL_VERSION} is sealed with a SHA-256 "
+                    f"trailer; start the run afresh") from err
+            raise JournalError(f"journal {path} {err}") from err
+        try:
+            payload = json.loads(blob.decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise JournalError(f"journal {path} is corrupt: {err}") from err
         if payload.get("version") != _JOURNAL_VERSION:
             raise JournalError(

@@ -181,16 +181,13 @@ class IncrementalStrategy:
         """Catalog scores for evaluation (max over stored interests)."""
         return self.model.score_all_items(self.states[user])
 
-    def score_users(self, users: Sequence[int],
-                    exact: bool = True) -> np.ndarray:
+    def score_users(self, users: Sequence[int]) -> np.ndarray:
         """Catalog scores for many users at once — the evaluator's batched
-        fast path.  The default (``exact=True``) is bit-identical to
-        stacking :meth:`score_user` calls: it issues the same per-user
-        GEMM through :func:`repro.models.score_items_batch`.
-        ``exact=False`` scores all users in one stacked GEMM —
-        float-tolerance, maximum throughput (see the perf probe).
-        Strategies that override :meth:`score_user` (MIMN, LimaRec) are
-        detected and scored through their own override."""
+        fast path.  Bit-identical to stacking :meth:`score_user` calls:
+        it issues the same per-user GEMM through
+        :func:`repro.models.score_items_batch`.  Strategies that override
+        :meth:`score_user` (MIMN, LimaRec) are detected and scored
+        through their own override."""
         if type(self).score_user is not IncrementalStrategy.score_user:
             return np.stack([self.score_user(u) for u in users])
         from ..models.aggregator import score_items_batch
@@ -198,7 +195,6 @@ class IncrementalStrategy:
         return score_items_batch(
             [self.states[u].interests for u in users],
             self.model.item_emb.weight.data,
-            exact=exact,
         )
 
     def interest_counts(self) -> Dict[int, int]:

@@ -53,58 +53,20 @@ def score_items(interests: np.ndarray, item_embeddings: np.ndarray) -> np.ndarra
     return (item_embeddings @ interests.T).max(axis=1)
 
 
-#: cap on the columns (summed interest counts) a single batched GEMM may
-#: carry in ``exact=False`` mode; bounds the (N, cols) intermediate when
-#: scoring many users
-_SCORE_CHUNK_COLS = 8192
-
-
-@shape_contract("_, (N, D) f, _ -> (U, N) f")
+@shape_contract("_, (N, D) f -> (U, N) f")
 def score_items_batch(interest_list: Sequence[np.ndarray],
-                      item_embeddings: np.ndarray,
-                      exact: bool = True) -> np.ndarray:
+                      item_embeddings: np.ndarray) -> np.ndarray:
     """:func:`score_items` for a whole batch of users at once.
 
-    The default (``exact=True``) issues the *identical* per-user
-    ``(N, d) @ (d, K_u)`` product that :func:`score_items` issues, so
-    every output row is **bit-identical** to the per-user path by
-    construction — the batching win comes from amortizing the Python
-    call overhead and from the vectorized rank/metric pipeline
-    downstream (:func:`repro.eval.ranks_of_targets`), not from changing
-    any floating-point computation.
-
-    ``exact=False`` is the maximum-throughput mode: users are grouped by
-    interest count ``K``, each group's matrices are stacked into one
-    ``(G * K, d)`` block, the catalog is scored in a single chunked
-    matmul, and the result is reshaped to ``(G, K, N)`` for a vectorized
-    max over the interest axis.  BLAS is free to pick a different kernel
-    (and therefore a different accumulation order) for the wide product
-    than for per-user products, so this mode agrees with
-    :func:`score_items` only to ~1e-12 relative tolerance, which can
-    flip near-tied ranks.  It is therefore *not* used by the default
-    evaluation path; the perf probe (``benchmarks/perf_probe.py``)
-    reports it as extra headroom.
+    Issues the *identical* per-user ``(N, d) @ (d, K_u)`` product that
+    :func:`score_items` issues, so every output row is
+    **bit-identical** to the per-user path by construction — the
+    batching win comes from amortizing the Python call overhead and
+    from the vectorized rank/metric pipeline downstream
+    (:func:`repro.eval.ranks_of_targets`), not from changing any
+    floating-point computation.
     """
-    num_items = item_embeddings.shape[0]
-    out = np.empty((len(interest_list), num_items))
-    if exact:
-        for u, interests in enumerate(interest_list):
-            out[u] = score_items(interests, item_embeddings)
-        return out
-
-    by_k: dict = {}
+    out = np.empty((len(interest_list), item_embeddings.shape[0]))
     for u, interests in enumerate(interest_list):
-        if interests.shape[0] >= 2:
-            by_k.setdefault(interests.shape[0], []).append(u)
-        else:  # K=0 (zeros) and K=1 (matvec) don't benefit from stacking
-            out[u] = score_items(interests, item_embeddings)
-
-    for k, group in by_k.items():
-        step = max(1, _SCORE_CHUNK_COLS // k)  # bound the (cols, N) block
-        for start in range(0, len(group), step):
-            chunk = group[start:start + step]
-            stacked = np.concatenate([interest_list[u] for u in chunk],
-                                     axis=0)
-            scored = stacked @ item_embeddings.T    # (len(chunk)*k, N)
-            out[chunk] = scored.reshape(len(chunk), k, num_items).max(axis=1)
+        out[u] = score_items(interests, item_embeddings)
     return out

@@ -90,6 +90,8 @@ __all__ = [
     "run_fingerprint",
     "atomic_write_bytes",
     "normalize_checkpoint_path",
+    "seal",
+    "unseal",
 ]
 
 
@@ -150,6 +152,37 @@ def atomic_write_bytes(data: bytes, path: PathLike, kind: str = "file") -> None:
     finally:
         if tmp.exists():
             tmp.unlink()
+
+
+def seal(blob: bytes, marker: bytes) -> bytes:
+    """``blob`` with a whole-file SHA-256 trailer appended.
+
+    The trailer is ``b"\\n" + marker + 64 hex chars + b"\\n"``;
+    :func:`unseal` checks it, so any flipped byte or truncation is
+    caught on load.  Checkpoints and the span and stream journals seal
+    every write.
+    """
+    return blob + (b"\n" + marker
+                   + hashlib.sha256(blob).hexdigest().encode("ascii") + b"\n")
+
+
+def unseal(data: bytes, marker: bytes) -> bytes:
+    """The blob :func:`seal` wrapped in ``data``.
+
+    Raises ``ValueError`` when the trailer is missing or mangled or the
+    digest disagrees.
+    """
+    size = 1 + len(marker) + 64 + 1
+    tail = data[-size:]
+    if not (len(data) > size and tail.startswith(b"\n" + marker)
+            and tail.endswith(b"\n")):
+        raise ValueError("integrity trailer is missing or mangled — the "
+                         "file is corrupt or truncated")
+    blob, digest = data[:-size], tail[1 + len(marker):-1]
+    if hashlib.sha256(blob).hexdigest().encode("ascii") != digest:
+        raise ValueError("fails its whole-file SHA-256 check — the file is "
+                         "corrupt")
+    return blob
 
 
 def _fsync_directory(directory: Path) -> None:
@@ -267,12 +300,10 @@ def save_checkpoint(strategy: IncrementalStrategy, path: PathLike,
         np.savez(buffer, manifest=np.frombuffer(
             json.dumps(manifest).encode("utf-8"), dtype=np.uint8), blob=blob)
         archive = buffer.getvalue()
-        trailer = (b"\n" + _TRAILER_MARKER
-                   + hashlib.sha256(archive).hexdigest().encode("ascii")
-                   + b"\n")
-        atomic_write_bytes(archive + trailer, path, kind="checkpoint")
+        sealed = seal(archive, _TRAILER_MARKER)
+        atomic_write_bytes(sealed, path, kind="checkpoint")
         obs.counter("checkpoint.saves")
-        obs.gauge("checkpoint.bytes", len(archive) + len(trailer))
+        obs.gauge("checkpoint.bytes", len(sealed))
     return path
 
 

@@ -33,17 +33,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..obs import trace as obs
-from ..persistence import CheckpointError, atomic_write_bytes, verify_checkpoint
+from ..persistence import (CheckpointError, atomic_write_bytes, seal, unseal,
+                           verify_checkpoint)
 
 PathLike = Union[str, Path]
 
 _STREAM_JOURNAL_VERSION = 1
 STREAM_JOURNAL_NAME = "stream-journal.json"
 
-#: whole-file integrity trailer: b"\n" + marker + 64 hex chars + b"\n"
+#: marks the whole-file SHA-256 trailer (:func:`repro.persistence.seal`)
 _TRAILER_MARKER = b"repro-stream-journal-sha256:"
-_TRAILER_LEN = 1 + len(_TRAILER_MARKER) + 64 + 1
 
 __all__ = [
     "StreamJournal",
@@ -166,9 +165,8 @@ class StreamJournal:
         # encoder, and this runs on every commit
         blob = json.dumps(payload, sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
-        trailer = (b"\n" + _TRAILER_MARKER
-                   + hashlib.sha256(blob).hexdigest().encode("ascii") + b"\n")
-        atomic_write_bytes(blob + trailer, self.path, kind="stream-journal")
+        atomic_write_bytes(seal(blob, _TRAILER_MARKER), self.path,
+                           kind="stream-journal")
 
     @classmethod
     def load(cls, directory: PathLike) -> "StreamJournal":
@@ -180,18 +178,10 @@ class StreamJournal:
         except OSError as err:
             raise StreamJournalIOError(
                 f"stream journal {path} cannot be read: {err}") from err
-        tail = data[-_TRAILER_LEN:]
-        if not (len(data) > _TRAILER_LEN
-                and tail.startswith(b"\n" + _TRAILER_MARKER)
-                and tail.endswith(b"\n")):
-            raise StreamJournalError(
-                f"stream journal {path} integrity trailer is missing or "
-                f"mangled — the file is corrupt or truncated")
-        blob, digest = data[:-_TRAILER_LEN], tail[1 + len(_TRAILER_MARKER):-1]
-        if hashlib.sha256(blob).hexdigest().encode("ascii") != digest:
-            raise StreamJournalError(
-                f"stream journal {path} fails its whole-file SHA-256 "
-                f"check — the file is corrupt")
+        try:
+            blob = unseal(data, _TRAILER_MARKER)
+        except ValueError as err:
+            raise StreamJournalError(f"stream journal {path} {err}") from err
         try:
             payload = json.loads(blob.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as err:
@@ -219,35 +209,6 @@ class StreamJournal:
         journal.state = payload.get("state")
         journal.prev_state = payload.get("prev_state")
         return journal
-
-    # ------------------------------------------------------------------ #
-    # recording
-    # ------------------------------------------------------------------ #
-    def record_interval(self, record: IntervalRecord, state: dict) -> None:
-        """Commit one interval: its record plus the full stream state.
-
-        Called *after* the interval's checkpoint landed (checkpoint-
-        before-journal ordering, same as the span journal).
-        """
-        self.intervals[record.interval] = record
-        self.prev_state = self.state
-        self.state = state
-        self.write()
-        obs.counter("stream.intervals_committed")
-        obs.event("stream.committed", interval=record.interval,
-                  offset=record.offset, trained=record.trained,
-                  mode=record.mode, checkpoint=record.checkpoint)
-
-    def record_incident(self, interval: int, kind: str, detail: object,
-                        action: str) -> dict:
-        incident = {"interval": int(interval), "kind": kind,
-                    "detail": detail, "action": action}
-        self.incidents.append(incident)
-        self.write()
-        obs.counter("stream.incidents")
-        obs.event("stream.incident", interval=interval, incident=kind,
-                  action=action)
-        return incident
 
     # ------------------------------------------------------------------ #
     # resume support

@@ -719,8 +719,8 @@ class _Pipeline:
                 lambda: save_checkpoint(self.strategy, path,
                                         span=self.interval))
             # journal mutation happens exactly once; only the (atomic,
-            # idempotent) write retries — a retried record_interval()
-            # would shift the state/prev_state pair twice
+            # idempotent) write retries — retrying the mutation would
+            # shift the state/prev_state pair twice
             self.journal.intervals[record.interval] = record
             self.journal.prev_state = self.journal.state
             self.journal.state = self._state_blob()

@@ -36,6 +36,8 @@ from repro.backend import (
 )
 from repro.backend.pool import MAX_POOLED_ELEMS
 from repro.contracts import ContractViolation, enforced
+from repro.data import WorldConfig, generate_world, split_time_spans
+from repro.eval import evaluate_span
 from repro.experiments import make_strategy, run_strategy
 from repro.faults import FaultPlan, SimulatedCrash, active
 from repro.incremental import TrainConfig
@@ -59,6 +61,13 @@ FAMILIES = sorted(MODEL_CLASSES)
 F32_LOSS_RTOL = 1e-3
 F32_GRAD_RTOL = 5e-2
 F32_METRIC_ATOL = 0.1
+#: a 96-user, 800-item world for the batched fast-backend drift bound
+DRIFT_WORLD = WorldConfig(
+    num_users=96, num_items=800, num_topics=12,
+    init_topics_per_user=(2, 4), new_topic_rate=0.6, num_spans=3,
+    pretrain_events_per_user=(24, 40), span_events_per_user=(10, 16),
+    initial_catalog_fraction=0.8, span_activity=0.95, seed=13,
+)
 
 
 class FusedF64(NumpyBackend):
@@ -313,6 +322,34 @@ class TestFastF32Drift:
             fast = run_strategy(build(tiny_split), tiny_split,
                                 "tiny", "ComiRec-DR")
         assert np.isfinite(fast.hr) and np.isfinite(fast.ndcg)
+        assert abs(fast.hr - reference.hr) <= F32_METRIC_ATOL
+        assert abs(fast.ndcg - reference.ndcg) <= F32_METRIC_ATOL
+
+    def test_batched_fast_drift_on_a_larger_world(self):
+        """The fast batched engine (float32, fused kernels, groups of 8)
+        against the default per-user run: one pretraining epoch each,
+        span 1 evaluated on every item."""
+        world = generate_world(DRIFT_WORLD)
+        split = split_time_spans(world.interactions,
+                                 num_items=DRIFT_WORLD.num_items,
+                                 T=DRIFT_WORLD.num_spans, alpha=0.5)
+
+        def span1(users_per_batch):
+            config = TrainConfig(epochs_pretrain=1, epochs_incremental=1,
+                                 num_negatives=10, seed=0,
+                                 users_per_batch=users_per_batch,
+                                 batched_snapshots=users_per_batch > 1)
+            strategy = make_strategy(
+                "IMSR", "ComiRec-DR", split, config,
+                model_kwargs={"dim": 32, "num_interests": 4})
+            strategy.pretrain()
+            return evaluate_span(strategy.score_user, split.spans[1],
+                                 targets="all",
+                                 batch_score_fn=strategy.score_users)
+
+        reference = span1(1)
+        with use_backend("fast"):
+            fast = span1(8)
         assert abs(fast.hr - reference.hr) <= F32_METRIC_ATOL
         assert abs(fast.ndcg - reference.ndcg) <= F32_METRIC_ATOL
 

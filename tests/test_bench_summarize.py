@@ -254,79 +254,6 @@ class TestRobustnessIngestion:
         assert "robustness: checkpoint save" in capsys.readouterr().out
 
 
-PERF = """\
-{"version": 1, "tool": "repro.perf", "users_per_batch": 8,
- "scales": {
-   "small": {"world": {"users": 32, "items": 200, "spans": 3},
-             "train": {"per_user_s": 0.03, "batched_s": 0.01, "speedup": 3.0},
-             "extract": {"per_user_s": 0.004, "batched_s": 0.001,
-                         "speedup": 4.0},
-             "eval": {"per_user_s": 0.002, "batched_s": 0.0004,
-                      "speedup": 5.0, "exact_s": 0.001, "exact_speedup": 2.0,
-                      "hr": 0.4, "ndcg": 0.2}}}}
-"""
-
-
-PERF_WITH_BACKEND = PERF.replace(
-    '"hr": 0.4, "ndcg": 0.2}', '"hr": 0.4, "ndcg": 0.2},\n'
-    '             "backend": {"name": "fast", "train_s": 0.006,\n'
-    '                         "train_speedup": 1.7, "extract_s": 0.0005,\n'
-    '                         "extract_speedup": 2.0, "eval_s": 0.0003,\n'
-    '                         "eval_speedup": 1.3, "hr": 0.41, "ndcg": 0.21,\n'
-    '                         "hr_drift": 0.01, "ndcg_drift": 0.01}')
-
-
-class TestPerfIngestion:
-    def test_parse_report_rows(self):
-        rows = dict(summarize.parse_perf(PERF))
-        assert rows["small (32u/200i, B=8)"] == (
-            "train x3.0  extract x4.0  eval x5.0")
-
-    def test_reports_without_backend_section_have_no_backend_row(self):
-        assert not [label for label, _ in summarize.parse_perf(PERF)
-                    if "backend" in label]
-
-    def test_parse_backend_rows(self):
-        rows = dict(summarize.parse_perf(PERF_WITH_BACKEND))
-        # the plain batched row is unchanged by the backend section
-        assert rows["small (32u/200i, B=8)"] == (
-            "train x3.0  extract x4.0  eval x5.0")
-        assert rows["small [fast backend]"] == (
-            "train x1.7  extract x2.0  eval x1.3  hr_drift 0.01")
-
-    def test_parse_rejects_foreign_json(self):
-        with pytest.raises(ValueError, match="not a perf report"):
-            summarize.parse_perf('{"tool": "something-else"}')
-
-    def test_markdown_prefixes_rows(self):
-        md = summarize.to_markdown(
-            [("A", 1, 1)], perf=[("small", "train x3.0")])
-        assert md.splitlines()[-1] == "| perf: small | train x3.0 |"
-
-    def test_main_with_perf_flag(self, tmp_path, capsys):
-        bench = tmp_path / "bench.txt"
-        bench.write_text(SAMPLE)
-        report = tmp_path / "BENCH_perf.json"
-        report.write_text(PERF)
-        assert summarize.main(["summarize.py", str(bench),
-                               "--perf", str(report)]) == 0
-        out = capsys.readouterr().out
-        assert "| perf: small (32u/200i, B=8) | " \
-               "train x3.0  extract x4.0  eval x5.0 |" in out
-
-    def test_main_with_missing_perf_file(self, tmp_path):
-        bench = tmp_path / "bench.txt"
-        bench.write_text(SAMPLE)
-        assert summarize.main(
-            ["summarize.py", str(bench),
-             "--perf", str(tmp_path / "absent.json")]) == 2
-
-    def test_main_perf_flag_without_value(self, tmp_path):
-        bench = tmp_path / "bench.txt"
-        bench.write_text(SAMPLE)
-        assert summarize.main(["summarize.py", str(bench), "--perf"]) == 2
-
-
 class TestLintIngestionEndToEnd:
     def test_end_to_end_with_real_analyzer_output(self, tmp_path, capsys):
         from repro.analysis import analyze_paths, render_json

@@ -6,6 +6,8 @@ run executed uninterrupted — checkpoints capture every RNG stream, so
 the resumed process continues the exact random sequence.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,42 @@ class TestResumeSafety:
         with pytest.raises(JournalError, match="refusing to resume"):
             run_strategy(other, tiny_split, "tiny", "ComiRec-DR",
                          checkpoint_dir=ckdir, resume=True)
+
+    def test_every_byte_flip_is_detected(self, journaled, tmp_path):
+        """Property test: flip ONE byte of journal.json anywhere — load
+        must refuse (the stream journal's byte-flip test, mirrored)."""
+        ckdir, _ = journaled
+        path = tmp_path / JOURNAL_NAME
+        path.write_bytes((ckdir / JOURNAL_NAME).read_bytes())
+        size = path.stat().st_size
+        rng = np.random.default_rng(11)
+        offsets = sorted({0, size - 1,
+                          *map(int, rng.integers(size, size=40))})
+        for offset in offsets:
+            flip_one_byte(path, offset=offset)
+            with pytest.raises(JournalError):
+                SpanJournal.load(tmp_path)
+            flip_one_byte(path, offset=offset)  # restore
+        SpanJournal.load(tmp_path)  # restored file loads again
+
+    def test_changed_digit_that_still_parses_is_detected(self, journaled,
+                                                          tmp_path):
+        """One changed digit of span 1's recorded HR is still valid JSON;
+        without the trailer a resumed run reported it as span 1's HR."""
+        ckdir, _ = journaled
+        data = bytearray((ckdir / JOURNAL_NAME).read_bytes())
+        at = data.index(b'"hr":0.') + len(b'"hr":0.')
+        data[at] = ord("8") if data[at] == ord("9") else data[at] + 1
+        (tmp_path / JOURNAL_NAME).write_bytes(bytes(data))
+        with pytest.raises(JournalError, match="SHA-256"):
+            SpanJournal.load(tmp_path)
+
+    def test_version_1_journal_is_refused_by_version(self, tmp_path):
+        (tmp_path / JOURNAL_NAME).write_text(json.dumps(
+            {"version": 1, "fingerprint": "fp", "spans": {},
+             "incidents": []}))
+        with pytest.raises(JournalError, match="version 1"):
+            SpanJournal.load(tmp_path)
 
     def test_corrupt_newest_checkpoint_falls_back_and_retrains(
             self, tiny_split, journaled, baseline):

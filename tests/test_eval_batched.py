@@ -1,11 +1,9 @@
-"""Vectorized evaluation: ranks, metrics, stacked scoring, evaluator.
+"""Vectorized evaluation: ranks, metrics, batched scoring, evaluator.
 
 The batched pipeline must be *bit-identical* to the historical per-item
-evaluator in its default configuration: same pessimistic tie-breaking,
-same exclude semantics, same ``1/log2(rank+2)`` floats.  Property tests
-drive every vectorized function against its scalar counterpart on tied
-and excluded inputs; the stacked-GEMM scoring mode is held to float
-tolerance only, as documented.
+evaluator: same pessimistic tie-breaking, same exclude semantics, same
+``1/log2(rank+2)`` floats.  Property tests drive every vectorized
+function against its scalar counterpart on tied and excluded inputs.
 """
 
 import numpy as np
@@ -104,23 +102,6 @@ class TestScoreItemsBatch:
         for u, iv in enumerate(interests):
             assert np.array_equal(out[u], score_items(iv, emb))
 
-    def test_stacked_mode_within_tolerance(self, rng):
-        emb = rng.normal(size=(60, 8))
-        interests = self.make_interests(rng, 8, [0, 1, 2, 3, 3, 5, 2, 4, 4])
-        fast = score_items_batch(interests, emb, exact=False)
-        slow = score_items_batch(interests, emb)
-        assert np.allclose(fast, slow, atol=1e-10)
-
-    def test_stacked_mode_chunking(self, rng, monkeypatch):
-        import repro.models.aggregator as aggregator
-
-        monkeypatch.setattr(aggregator, "_SCORE_CHUNK_COLS", 5)
-        emb = rng.normal(size=(30, 6))
-        interests = self.make_interests(rng, 6, [3, 3, 3, 3, 4, 4, 2])
-        fast = score_items_batch(interests, emb, exact=False)
-        slow = score_items_batch(interests, emb)
-        assert np.allclose(fast, slow, atol=1e-10)
-
     def test_empty_user_list(self, rng):
         emb = rng.normal(size=(10, 4))
         assert score_items_batch([], emb).shape == (0, 10)
@@ -171,16 +152,6 @@ class TestEvaluateSpanBatched:
         assert loop.hr == batched.hr
         assert loop.ndcg == batched.ndcg
         assert loop.per_user == batched.per_user
-
-    def test_stacked_scoring_within_tolerance(self, trained, tiny_split):
-        span = tiny_split.spans[1]
-        exact = evaluate_span(trained.score_user, span, targets="all")
-        fast = evaluate_span(
-            trained.score_user, span, targets="all",
-            batch_score_fn=lambda us: trained.score_users(us, exact=False))
-        assert fast.num_cases == exact.num_cases
-        assert fast.hr == pytest.approx(exact.hr, abs=1e-6)
-        assert fast.ndcg == pytest.approx(exact.ndcg, abs=1e-6)
 
     def test_strict_protocol_also_identical(self, trained, tiny_split):
         span = tiny_split.spans[2]

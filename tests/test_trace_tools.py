@@ -1,9 +1,6 @@
-"""Tests for the trace tooling: percentiles, diffs, flamegraphs, and the
-perf-regression gate in benchmarks/summarize.py."""
+"""Tests for the trace tooling: percentiles, diffs and flamegraphs."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
@@ -22,21 +19,6 @@ from repro.obs import (
 )
 
 from tests.test_crash_resume import build, fast_config
-
-
-def load_summarize():
-    """Import benchmarks/summarize.py (a script, not a package) by path."""
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / \
-        "summarize.py"
-    spec = importlib.util.spec_from_file_location("bench_summarize", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="module")
-def summarize():
-    return load_summarize()
 
 
 @pytest.fixture(scope="module")
@@ -163,130 +145,3 @@ class TestFlame:
         roots = build_span_tree(events)
         assert roots[0]["dur_s"] == pytest.approx(0.5)
         assert critical_path(events)[0]["name"] == "run"
-
-
-# ---------------------------------------------------------------------- #
-# perf-regression gate (benchmarks/summarize.py --regress)
-# ---------------------------------------------------------------------- #
-def perf_report(train=0.100, extract=0.020, evals=0.010, speedup=3.0):
-    return {
-        "tool": "repro.perf",
-        "scales": {
-            "large": {
-                "train": {"batched_s": train, "speedup": speedup},
-                "extract": {"batched_s": extract, "speedup": speedup},
-                "eval": {"batched_s": evals, "speedup": speedup},
-            },
-        },
-    }
-
-
-def history_lines(summarize, n=3, **kwargs):
-    return [{"probe": "repro.perf",
-             "metrics": summarize.flatten_perf_metrics(perf_report(**kwargs))}
-            for _ in range(n)]
-
-
-class TestFlattenPerfMetrics:
-    def test_flattens_layer_times_and_speedups(self, summarize):
-        metrics = summarize.flatten_perf_metrics(perf_report())
-        assert metrics["large.train_s"] == pytest.approx(0.100)
-        assert metrics["large.train_speedup"] == pytest.approx(3.0)
-        assert all(isinstance(v, float) for v in metrics.values())
-
-    def test_rejects_foreign_reports(self, summarize):
-        with pytest.raises(ValueError, match="not a perf report"):
-            summarize.flatten_perf_metrics({"tool": "repro.obs"})
-
-
-class TestRegressionCheck:
-    def test_clean_rerun_passes(self, summarize):
-        history = history_lines(summarize)
-        current = summarize.flatten_perf_metrics(perf_report())
-        rows, failures = summarize.regression_check(current, history)
-        assert failures == []
-        assert rows  # every metric produced a gated row
-
-    def test_injected_20pct_slowdown_fails(self, summarize):
-        history = history_lines(summarize)
-        slow = summarize.flatten_perf_metrics(perf_report(
-            train=0.120, extract=0.024, evals=0.012))
-        rows, failures = summarize.regression_check(slow, history)
-        failed = {row["metric"] for row in failures}
-        assert {"large.train_s", "large.extract_s",
-                "large.eval_s"} <= failed
-
-    def test_speedup_collapse_fails(self, summarize):
-        history = history_lines(summarize)
-        collapsed = summarize.flatten_perf_metrics(
-            perf_report(speedup=1.0))
-        _, failures = summarize.regression_check(collapsed, history)
-        assert any(row["metric"].endswith("_speedup") for row in failures)
-
-    def test_short_history_is_skipped_not_failed(self, summarize):
-        history = history_lines(summarize, n=summarize.MIN_HISTORY - 1)
-        slow = summarize.flatten_perf_metrics(perf_report(train=1.0))
-        rows, failures = summarize.regression_check(slow, history)
-        assert failures == []
-        assert all(row["status"].startswith("skipped") for row in rows)
-
-    def test_slack_widens_the_threshold(self, summarize):
-        history = history_lines(summarize)
-        mild = summarize.flatten_perf_metrics(perf_report(train=0.118))
-        _, tight = summarize.regression_check(mild, history, slack=1.0)
-        _, loose = summarize.regression_check(mild, history, slack=2.5)
-        assert any(row["metric"] == "large.train_s" for row in tight)
-        assert not any(row["metric"] == "large.train_s" for row in loose)
-
-    def test_noisy_history_widens_up_to_the_ceiling(self, summarize):
-        # alternating fast/slow history -> large MAD -> threshold at ceil
-        noisy = []
-        for value in (0.080, 0.120, 0.080, 0.120):
-            noisy.extend(history_lines(summarize, n=1, train=value))
-        current = summarize.flatten_perf_metrics(perf_report(train=0.115))
-        rows, failures = summarize.regression_check(current, noisy)
-        assert not any(row["metric"] == "large.train_s" for row in failures)
-        # the ceiling still catches a 2x collapse
-        bad = summarize.flatten_perf_metrics(perf_report(train=0.200))
-        _, failures = summarize.regression_check(bad, noisy)
-        assert any(row["metric"] == "large.train_s" for row in failures)
-
-
-class TestRegressionCli:
-    def write(self, path, payload):
-        path.write_text(json.dumps(payload) + "\n")
-        return path
-
-    def write_history(self, summarize, path, n=3):
-        lines = [json.dumps(entry) for entry in history_lines(summarize, n)]
-        path.write_text("\n".join(lines) + "\n")
-        return path
-
-    def test_exit_codes(self, summarize, tmp_path, capsys):
-        history = self.write_history(summarize, tmp_path / "hist.jsonl")
-        clean = self.write(tmp_path / "clean.json", perf_report())
-        slow = self.write(tmp_path / "slow.json",
-                          perf_report(train=0.120, extract=0.024,
-                                      evals=0.012))
-        assert summarize.main([
-            "summarize.py", "--regress", str(clean),
-            "--history", str(history)]) == 0
-        assert "no regressions" in capsys.readouterr().out
-        assert summarize.main([
-            "summarize.py", "--regress", str(slow),
-            "--history", str(history)]) == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_torn_history_lines_are_skipped(self, summarize, tmp_path):
-        history = tmp_path / "hist.jsonl"
-        lines = [json.dumps(entry)
-                 for entry in history_lines(summarize, n=3)]
-        lines.insert(1, '{"torn": ')  # crash mid-write
-        history.write_text("\n".join(lines) + "\n")
-        assert len(summarize.read_history(history)) == 3
-
-    def test_missing_history_is_an_input_error(self, summarize, tmp_path):
-        clean = self.write(tmp_path / "clean.json", perf_report())
-        assert summarize.main([
-            "summarize.py", "--regress", str(clean),
-            "--history", str(tmp_path / "absent.jsonl")]) == 2

@@ -567,8 +567,8 @@ def _sum_grads(data: np.ndarray, contribs: list) -> Tuple[np.ndarray, bool]:
       Under round-to-nearest a sum is -0.0 only when both terms are, so a
       sum that started from +0.0 zeros never holds -0.0 and skipping
       those rows changes nothing.  A segment sum accumulates each row's
-      updates in the order the per-lookup scatter did, with the routine
-      the scatter would choose;
+      updates in the order the per-lookup scatter did, with the same
+      ``np.add.at``;
     * otherwise (a dense contribution came first, which may hold -0.0)
       a lookup is added as its full table, exactly as before.
 
@@ -583,8 +583,8 @@ def _sum_grads(data: np.ndarray, contribs: list) -> Tuple[np.ndarray, bool]:
     for contrib in contribs[1:]:
         if type(contrib) is _RowGrad:
             if clean:
-                # `data` stands in for the per-lookup table: same shape,
-                # dtype and (so) accumulation routine
+                # `data` stands in for the per-lookup table: same row
+                # shape and dtype
                 rows, sums = _backend.active.segment_sum(
                     data, contrib.indices, contrib.updates)
                 total[rows] += sums

@@ -6,11 +6,11 @@ engine (and the models' batched kernels) compute through:
 
 * :class:`NumpyBackend` (``"default"``) — the paper-exact float64 path,
   byte-for-byte identical to the substrate before this layer existed;
-* :class:`FastBackend` (``"fast"``) — opt-in float32 compute with a
-  size-bucketed scratch-buffer pool and fused routing / attention /
-  sampled-softmax kernels (:mod:`repro.backend.fused`).
+* :class:`FastBackend` (``"fast"``) — opt-in float32 compute and fused
+  routing / attention / sampled-softmax kernels
+  (:mod:`repro.backend.fused`).
 
-Selection::
+Selection (names are case-insensitive)::
 
     repro.backend.set_backend("fast")        # process-wide
     with repro.backend.use_backend("fast"):  # scoped (tests)
@@ -27,43 +27,29 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Type, Union
+from typing import Dict, Iterator, Type, Union
 
-from .base import Backend, NumpyBackend
-from .fast import FastBackend, set_blas_threads
-from .pool import BufferPool
+from .base import Backend, FastBackend, NumpyBackend
+from .instrument import InstrumentedBackend
 
 __all__ = [
     "Backend",
     "NumpyBackend",
     "FastBackend",
-    "BufferPool",
     "InstrumentedBackend",
     "active_backend_name",
-    "available_backends",
-    "end_step",
-    "get_backend",
     "set_backend",
-    "set_blas_threads",
     "use_backend",
 ]
 
-#: registry name (and aliases) -> backend class
+#: registry name -> backend class
 _BACKENDS: Dict[str, Type[Backend]] = {
     "default": NumpyBackend,
-    "numpy": NumpyBackend,
-    "exact": NumpyBackend,
     "fast": FastBackend,
-    "f32": FastBackend,
 }
 
 #: the live backend every Tensor creation / fused dispatch reads
 active: Backend = NumpyBackend()
-
-
-def available_backends() -> tuple:
-    """Canonical backend names (aliases excluded)."""
-    return ("default", "fast")
 
 
 def _resolve(backend: Union[str, Backend]) -> Backend:
@@ -74,13 +60,8 @@ def _resolve(backend: Union[str, Backend]) -> Backend:
     if cls is None:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of "
-            f"{sorted(set(_BACKENDS))} or a Backend instance")
+            f"{sorted(_BACKENDS)} or a Backend instance")
     return cls()
-
-
-def get_backend() -> Backend:
-    """The active backend instance."""
-    return active
 
 
 def active_backend_name() -> str:
@@ -91,9 +72,9 @@ def active_backend_name() -> str:
 def set_backend(backend: Union[str, Backend]) -> Backend:
     """Install a backend process-wide; returns the *previous* one.
 
-    Accepts a registry name (``"default"``/``"numpy"``/``"exact"``,
-    ``"fast"``/``"f32"``) or a :class:`Backend` instance (tests inject
-    instrumented subclasses this way).
+    Accepts a registry name (``"default"`` or ``"fast"``, in any case)
+    or a :class:`Backend` instance (tests inject instrumented subclasses
+    this way).
     """
     global active
     previous = active
@@ -110,20 +91,6 @@ def use_backend(backend: Union[str, Backend]) -> Iterator[Backend]:
     finally:
         set_backend(previous)
 
-
-def end_step() -> None:
-    """Signal an optimizer-step boundary to the active backend.
-
-    Optimizers call this at the end of ``step()``; pooling backends
-    reclaim the step's scratch buffers here (every backward closure that
-    could reference them has already run).
-    """
-    active.end_step()
-
-
-# imported last: instrument.py needs repro.obs, which fast.py (above)
-# has already finished initialising by this point
-from .instrument import InstrumentedBackend  # noqa: E402
 
 _env = os.environ.get("REPRO_BACKEND", "").strip()
 if _env:

@@ -1,16 +1,15 @@
-"""The backend interface and the paper-exact NumPy float64 default.
+"""The backend interface: the paper-exact float64 default and ``fast``.
 
 A backend holds what the autograd/nn substrate reads from it: the
-compute dtype, scratch buffers for the fused kernels, the einsum
-contractions of the unfused batched routing, and the scatter-add /
-segment-sum of the embedding backward.  Everything else (GEMMs, gathers,
-ufuncs, reductions) calls numpy directly.  The default
-:class:`NumpyBackend` delegates every op to the literal numpy call the
-substrate used before this layer existed, at ``float64`` — so the
-default path stays byte-for-byte identical to the paper-exact
-reproduction.  :class:`repro.backend.fast.FastBackend` overrides the
-dtype, adds a scratch-buffer pool, and flips on the fused kernels in
-:mod:`repro.backend.fused`.
+compute dtype, whether model code dispatches to the fused kernels in
+:mod:`repro.backend.fused`, the einsum contractions of the unfused
+batched routing, and the scatter-add / segment-sum of the embedding
+backward.  Everything else (GEMMs, gathers, ufuncs, reductions) calls
+numpy directly.  :class:`NumpyBackend` delegates every op to the
+literal numpy call the substrate used before this layer existed, at
+``float64`` — so the default path stays byte-for-byte identical to the
+paper-exact reproduction.  :class:`FastBackend` runs the same ops in
+``float32`` and flips on the fused kernels.
 
 This module must import nothing from :mod:`repro.autograd` (the tensor
 engine imports *us* to learn its compute dtype).
@@ -18,7 +17,7 @@ engine imports *us* to learn its compute dtype).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from ..contracts import shape_contract
 
 
 class Backend:
-    """Abstract compute backend.  Subclasses override dtype/ops/policy.
+    """Abstract compute backend.  Subclasses set the three attributes.
 
     Attributes
     ----------
@@ -38,36 +37,12 @@ class Backend:
     fused:
         Whether model code should dispatch to the fused kernels in
         :mod:`repro.backend.fused` instead of building op-by-op graphs.
-    pool:
-        Scratch :class:`repro.backend.pool.BufferPool`, or ``None`` when
-        the backend does not reuse buffers.
     """
 
     name: str = "abstract"
     compute_dtype: np.dtype = np.dtype(np.float64)
     fused: bool = False
-    pool = None
 
-    # ------------------------------------------------------------------ #
-    # allocation
-    # ------------------------------------------------------------------ #
-    def asarray(self, value) -> np.ndarray:
-        """Convert to an ndarray in this backend's compute dtype."""
-        return np.asarray(value, dtype=self.compute_dtype)
-
-    def scratch(self, shape: Tuple[int, ...], pooled: bool = True) -> np.ndarray:
-        """Uninitialised scratch buffer for kernel intermediates.
-
-        ``pooled=True`` lets pooling backends lend a reusable buffer that
-        is reclaimed at the next optimizer-step boundary; callers must
-        pass ``pooled=False`` for buffers that outlive the step (or when
-        no step boundary will come, e.g. no-grad evaluation loops).
-        """
-        return np.empty(shape, dtype=self.compute_dtype)
-
-    # ------------------------------------------------------------------ #
-    # contractions and scatters
-    # ------------------------------------------------------------------ #
     def einsum(self, spec: str, *operands: np.ndarray) -> np.ndarray:
         """General tensor contraction (``np.einsum`` semantics)."""
         return np.einsum(spec, *operands)
@@ -86,31 +61,15 @@ class Backend:
         Returns ``(rows, sums)``: ``rows`` are the sorted unique
         ``indices`` and ``sums[j]`` holds, in ``table``'s dtype, exactly
         what :meth:`scatter_add` would leave in row ``rows[j]`` of a
-        zeroed ``table`` — the same accumulation routine, over the same
-        updates in the same order — in a buffer of ``len(rows)`` rows
-        instead of the whole table.
+        zeroed ``table`` — the same ``np.add.at`` accumulation, over the
+        same updates in the same order — in a buffer of ``len(rows)``
+        rows instead of the whole table.
         """
         rows, inverse = np.unique(np.asarray(indices).reshape(-1),
                                   return_inverse=True)
         sums = np.zeros((rows.size,) + table.shape[1:], dtype=table.dtype)
-        self._accumulate(sums, inverse, updates, table.size)
+        np.add.at(sums, inverse, updates)
         return rows, sums
-
-    def _accumulate(self, out: np.ndarray, idx: np.ndarray,
-                    updates: np.ndarray, table_elems: int) -> None:
-        """``out[idx] += updates`` by the routine :meth:`scatter_add`
-        uses on a table of ``table_elems`` elements."""
-        np.add.at(out, idx, updates)
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    def end_step(self) -> None:
-        """Optimizer-step boundary hook (pool reclaim on fast backends)."""
-
-    def pool_stats(self) -> Optional[Dict[str, int]]:
-        """Pool efficiency counters, or ``None`` without a pool."""
-        return None
 
 
 class NumpyBackend(Backend):
@@ -125,3 +84,17 @@ class NumpyBackend(Backend):
     name = "default"
     compute_dtype = np.dtype(np.float64)
     fused = False
+
+
+class FastBackend(Backend):
+    """Opt-in float32 compute plus the fused kernels (tolerance-gated).
+
+    float32 halves memory traffic through every GEMM and keeps metric
+    drift within documented tolerances; ``fused`` makes model code run
+    routing, attention and the sampled-softmax loss as single kernels
+    instead of op-by-op autograd graphs.  See ``docs/PERFORMANCE.md``.
+    """
+
+    name = "fast"
+    compute_dtype = np.dtype(np.float32)
+    fused = True

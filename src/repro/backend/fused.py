@@ -14,12 +14,6 @@ equivalence suite (``tests/test_backend.py``) pins every kernel against
 its unfused counterpart at float64 to ~1e-9 and bounds the float32
 drift of the fast backend to documented tolerances.
 
-Scratch arrays for kernel intermediates come from the active backend's
-buffer pool while gradients are enabled (the backward closures reference
-them; they are reclaimed at the optimizer-step boundary after backward
-has run).  Kernel *outputs* — anything that becomes ``Tensor.data`` —
-are always fresh allocations, never pooled.
-
 Per-user entry points reuse the batched kernels at B=1: the data arrays
 are expanded with numpy views (no extra graph nodes) and every parent
 gradient drops the leading batch axis on the way out.
@@ -35,15 +29,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .. import backend as _backend
-from ..autograd import Tensor, is_grad_enabled
+from ..autograd import Tensor
 
 _NEG = -1e30  # additive mask for padded positions
-
-
-def _scratch(shape) -> np.ndarray:
-    """Backend scratch in compute dtype; pooled only while grads flow."""
-    return _backend.active.scratch(shape, pooled=is_grad_enabled())
 
 
 def _const(value: float, dt: np.dtype):
@@ -109,7 +97,7 @@ def _dr_kernel(e_hat: Tensor, E: np.ndarray, capsules0: np.ndarray,
     """
     dt = E.dtype
     caps = capsules0.astype(dt, copy=False)
-    logits = _scratch((E.shape[0], E.shape[1], caps.shape[1]))
+    logits = np.empty((E.shape[0], E.shape[1], caps.shape[1]), dtype=dt)
     # contractions run as batched BLAS GEMMs (np.matmul); np.einsum's
     # C fallback is several times slower at these shapes
     np.matmul(E, caps.transpose(0, 2, 1), out=logits)     # bnd,bkd->bnk
@@ -127,7 +115,7 @@ def _dr_kernel(e_hat: Tensor, E: np.ndarray, capsules0: np.ndarray,
     inv1 = 1.0 / (1.0 + sq)
     root = np.sqrt(sq + eps)
     scale = sq * inv1 / root
-    out = votes * scale                               # fresh (never pooled)
+    out = votes * scale
 
     def grad_e_hat(g: np.ndarray) -> np.ndarray:
         # squash backward: dV = g·s + V (2 (g·V) ds/dq), then dE = C dV
@@ -181,20 +169,19 @@ def _sa_kernel(embs: Tensor, w1, user_ws: Sequence, E: np.ndarray,
     ks = [w.data.shape[1] for w in user_ws]
     k_max = capsule_mask.shape[1] if capsule_mask is not None else max(ks)
 
-    w_pad = _scratch((batch, d_a, k_max))
-    w_pad.fill(0.0)
+    w_pad = np.zeros((batch, d_a, k_max), dtype=dt)
     for b, w in enumerate(user_ws):
         # slice assignment copies w.data into the pad; no alias survives
         w_pad[b, :, :ks[b]] = w.data  # repro: noqa[RA603]
-    hidden = _scratch((batch, n, d_a))
+    hidden = np.empty((batch, n, d_a), dtype=dt)
     np.matmul(E, W1.T, out=hidden)
     np.tanh(hidden, out=hidden)                       # H = tanh(E W1ᵀ)
-    logits = _scratch((batch, n, k_max))
+    logits = np.empty((batch, n, k_max), dtype=dt)
     np.matmul(hidden, w_pad, out=logits)
     if item_mask is not None:
         logits += np.where(item_mask[:, :, None], _const(0.0, dt),
                            _const(_NEG, dt))
-    attn = _scratch((batch, n, k_max))                # softmax over items
+    attn = np.empty((batch, n, k_max), dtype=dt)     # softmax over items
     np.subtract(logits, logits.max(axis=1, keepdims=True), out=attn)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=1, keepdims=True)
@@ -268,18 +255,18 @@ def _loss_kernel(interests: Tensor, target_embs: Tensor, neg_embs: Tensor,
     if capsule_mask is not None:
         att += np.where(capsule_mask, _const(0.0, dt),
                         _const(_NEG, dt))[:, None, :]
-    beta = _scratch(att.shape)                       # softmax over capsules
+    beta = np.empty(att.shape, dtype=dt)             # softmax over capsules
     np.subtract(att, att.max(axis=2, keepdims=True), out=beta)
     # beta is max-subtracted on the line above (out= hides it from the scan)
     np.exp(beta, out=beta)  # repro: noqa[RA302]
     beta /= beta.sum(axis=2, keepdims=True)          # (B, M, K)
-    v = _scratch(Te.shape)
+    v = np.empty(Te.shape, dtype=dt)
     np.matmul(beta, I, out=v)                        # aggregated vec (bmd)
     pos = (v * Te).sum(axis=2)                       # (B, M)
     neg = np.matmul(Ne, v[..., None])[..., 0]        # bmjd,bmd->bmj
     logits = np.concatenate([pos[..., None], neg], axis=2)
     shifted = logits - logits.max(axis=2, keepdims=True)
-    prob = _scratch(shifted.shape)
+    prob = np.empty(shifted.shape, dtype=dt)
     # shifted is max-subtracted two lines up; the scan can't see through it
     np.exp(shifted, out=prob)  # repro: noqa[RA302]
     denom = prob.sum(axis=2, keepdims=True)

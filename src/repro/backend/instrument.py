@@ -4,9 +4,9 @@ Wraps a registered backend (paper-exact float64 default or the fast
 float32 backend) and reports every ``einsum`` and ``scatter_add`` call
 (``segment_sum`` counts as a ``scatter_add``) to the active
 :class:`repro.obs.prof.OpProfiler`, tagged with a power-of-two shape
-bucket, estimated FLOPs, and bytes moved.  Allocation delegates
-untouched, so the wrapped backend's numerics are bit-identical to the
-bare one — instrumenting changes *observations*, never *results*.
+bucket, estimated FLOPs, and bytes moved.  Every op delegates to the
+wrapped backend, so its numerics are bit-identical to the bare one —
+instrumenting changes *observations*, never *results*.
 
 With no active profiler every instrumented op costs one module-attribute
 load plus a ``None`` check before delegating (the standard disabled-probe
@@ -16,7 +16,7 @@ budget, measured by ``benchmarks/obs_probe.py``).
 from __future__ import annotations
 
 from time import perf_counter as _perf
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -65,23 +65,10 @@ class InstrumentedBackend(Backend):
         self.name = f"instrumented({inner.name})"
         self.compute_dtype = inner.compute_dtype
         self.fused = inner.fused
-        self.pool = inner.pool
 
     def __repr__(self) -> str:
         return f"InstrumentedBackend({self.inner!r})"
 
-    # ------------------------------------------------------------------ #
-    # uninstrumented delegation (allocation)
-    # ------------------------------------------------------------------ #
-    def asarray(self, value) -> np.ndarray:
-        return self.inner.asarray(value)
-
-    def scratch(self, shape, pooled: bool = True) -> np.ndarray:
-        return self.inner.scratch(shape, pooled=pooled)
-
-    # ------------------------------------------------------------------ #
-    # instrumented ops
-    # ------------------------------------------------------------------ #
     def einsum(self, spec: str, *operands: np.ndarray) -> np.ndarray:
         prof = _prof._PROFILER
         if prof is None:
@@ -123,15 +110,3 @@ class InstrumentedBackend(Backend):
             "scatter_add", dur, _prof.shape_bucket(updates.size),
             float(updates.size), 2 * updates.nbytes + sums.nbytes)
         return rows, sums
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    def end_step(self) -> None:
-        self.inner.end_step()
-        prof = _prof._PROFILER
-        if prof is not None:
-            prof.on_step(self.inner)
-
-    def pool_stats(self) -> Optional[Dict[str, int]]:
-        return self.inner.pool_stats()

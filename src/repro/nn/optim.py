@@ -17,7 +17,6 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from .. import backend as _backend
 from ..obs import prof as _prof
 from ..obs import trace as obs
 from .module import Parameter
@@ -83,7 +82,7 @@ class SGD(Optimizer):
                     v += grad
                     grad = v
                 p.data -= self.lr * grad
-        _backend.end_step()
+        _prof.on_step()
 
 
 class Adam(Optimizer):
@@ -117,7 +116,7 @@ class Adam(Optimizer):
                     continue
                 self._sync_grown_rows(i, p)
                 self._dense_update(i, p)
-        _backend.end_step()
+        _prof.on_step()
 
     def _sync_grown_rows(self, i: int, p: Parameter) -> None:
         """Zero-pad moment state when a row-sparse parameter gained rows.
@@ -234,7 +233,7 @@ class SparseAdam(Adam):
                     continue
                 self._sparse_update(i, p, rows)
                 p._touched_rows = []  # consumed: next step starts fresh
-        _backend.end_step()
+        _prof.on_step()
 
     def _sync_grown_rows(self, i: int, p: Parameter) -> None:
         super()._sync_grown_rows(i, p)

@@ -17,9 +17,9 @@ went*.  Three hook families feed one :class:`OpProfiler`:
   consecutive node creations belongs to the op that produced the later
   node, so python glue is attributed rather than lost;
 * **memory** — :class:`MemTracker` follows live tensor bytes via
-  ``weakref.finalize``, keeps a per-span peak watermark, and samples the
-  :class:`repro.backend.pool.BufferPool` occupancy (plus optional RSS)
-  at optimizer-step boundaries.
+  ``weakref.finalize``, keeps a per-span peak watermark, and samples
+  live/peak bytes (plus optional RSS) at optimizer-step boundaries,
+  which every optimizer's ``step()`` signals through :func:`on_step`.
 
 Everything is **off by default**.  Each hook site costs one module
 attribute load plus a ``None`` check while disabled — the same budget
@@ -30,8 +30,8 @@ unprofiled one.
 
 When a tracer is active, :func:`stop_profiling` folds the aggregates
 into the trace as ``op_stats`` / ``kernel_stats`` / ``op_span`` /
-``phase_stats`` / ``mem_sample`` / ``pool_sample`` / ``mem_summary``
-records; `repro trace flame` and ``summarize_trace`` consume them.
+``phase_stats`` / ``mem_sample`` / ``mem_summary`` records;
+`repro trace flame` and ``summarize_trace`` consume them.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ __all__ = [
     "OpProfiler",
     "current_profiler",
     "enabled",
+    "on_step",
     "op",
     "phase",
     "profiling",
@@ -285,7 +286,6 @@ class OpProfiler:
         self.backend_ops: Dict[Tuple[str, str, str], List[float]] = {}
         self.span_ops: Dict[Tuple[Tuple[str, ...], str], List[float]] = {}
         self.phase_wall: Dict[str, float] = {}
-        self.pool_timeline: List[Dict[str, Any]] = []
         self.mem_timeline: List[Dict[str, Any]] = []
         self.steps = 0
         self.autograd = bool(autograd)
@@ -332,14 +332,11 @@ class OpProfiler:
             entry[2] += flops
             entry[3] += nbytes
 
-    def on_step(self, backend: Any) -> None:
-        """Step-boundary sampling hook (pool occupancy, memory, RSS)."""
+    def on_step(self) -> None:
+        """Step-boundary sampling hook (live/peak memory, RSS)."""
         self.steps += 1
         if self.steps % self._stride:
             return
-        pool_stats = backend.pool_stats() if backend is not None else None
-        if pool_stats is not None:
-            self.pool_timeline.append({"step": self.steps, **pool_stats})
         mem = self.mem
         if mem is not None:
             sample: Dict[str, Any] = {
@@ -351,11 +348,9 @@ class OpProfiler:
                 if rss is not None:
                     sample["rss_kb"] = rss
             self.mem_timeline.append(sample)
-        if len(self.mem_timeline) > _TIMELINE_CAP or \
-                len(self.pool_timeline) > _TIMELINE_CAP:
+        if len(self.mem_timeline) > _TIMELINE_CAP:
             self._stride *= 2
             self.mem_timeline = self.mem_timeline[::2]
-            self.pool_timeline = self.pool_timeline[::2]
 
     # ------------------------------------------------------------------ #
     # reporting
@@ -426,7 +421,6 @@ class OpProfiler:
             "kernels": kernels,
             "backend_ops": backend_ops,
             "memory": memory,
-            "pool": self.pool_timeline[-1] if self.pool_timeline else None,
         }
 
     # ------------------------------------------------------------------ #
@@ -437,7 +431,7 @@ class OpProfiler:
 
         Counts, FLOPs, bytes, and op/phase names are pure functions of
         the run's data and stay in the fingerprint; every wall-clock
-        field uses reserved timing keys, and memory/pool samples are
+        field uses reserved timing keys, and memory samples are
         reduced to their ``kind`` (GC timing is not determinism we can
         promise).
         """
@@ -463,8 +457,6 @@ class OpProfiler:
                          "wall_s": wall})
         for sample in self.mem_timeline:
             tracer.emit({"kind": "mem_sample", **sample})
-        for sample in self.pool_timeline:
-            tracer.emit({"kind": "pool_sample", **sample})
         if self.mem is not None:
             summary: Dict[str, Any] = {
                 "kind": "mem_summary", "live_bytes": self.mem.live,
@@ -489,6 +481,17 @@ def current_profiler() -> Optional[OpProfiler]:
 def enabled() -> bool:
     """Whether a profiler is currently active."""
     return _PROFILER is not None
+
+
+def on_step() -> None:
+    """Signal an optimizer-step boundary (no-op when profiling is off).
+
+    :class:`repro.nn.SGD`, :class:`repro.nn.Adam` and
+    :class:`repro.nn.SparseAdam` call this at the end of ``step()``.
+    """
+    prof = _PROFILER
+    if prof is not None:
+        prof.on_step()
 
 
 def op(name: str):

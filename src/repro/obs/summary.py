@@ -173,45 +173,20 @@ def stream_rollup(events: List[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
 def backend_rollup(metrics: Dict[str, Any]) -> Optional[Dict[str, Any]]:
     """Compute-backend telemetry from the final metrics snapshot.
 
-    Collects the ``backend.active`` gauge and the buffer-pool counters
-    (``backend.pool_hits`` / ``backend.pool_misses`` /
-    ``backend.bytes_reused``) the fast backend flushes at optimizer-step
-    boundaries, grouped by their ``backend=`` label.  Returns None when
-    the trace carries no backend metrics (e.g. a default-backend run
-    without the runner's gauge).
+    Reads the ``backend.active`` gauge the runner sets, whose
+    ``backend=`` label names the active backend.  Returns None when the
+    trace carries no such gauge.
     """
-    pools: Dict[str, Dict[str, float]] = {}
     active: Optional[str] = None
-    for key, state in metrics.items():
+    for key in metrics:
         name, _, label_part = key.partition("{")
-        if not name.startswith("backend."):
-            continue
-        labels: Dict[str, str] = {}
-        for item in label_part.rstrip("}").split(","):
-            k, sep, v = item.partition("=")
-            if sep:
-                labels[k] = v
-        which = labels.get("backend", "?")
         if name == "backend.active":
-            active = which
-        elif name in ("backend.pool_hits", "backend.pool_misses",
-                      "backend.bytes_reused"):
-            field = name.split(".", 1)[1]
-            pools.setdefault(which, {})[field] = float(state.get("value", 0.0))
-    if active is None and not pools:
-        return None
-    rollup: Dict[str, Any] = {"active": active, "pools": {}}
-    for which, counts in sorted(pools.items()):
-        hits = counts.get("pool_hits", 0.0)
-        misses = counts.get("pool_misses", 0.0)
-        total = hits + misses
-        rollup["pools"][which] = {
-            "hits": int(hits),
-            "misses": int(misses),
-            "hit_rate": (hits / total) if total else None,
-            "bytes_reused": int(counts.get("bytes_reused", 0.0)),
-        }
-    return rollup
+            active = "?"
+            for item in label_part.rstrip("}").split(","):
+                k, sep, v = item.partition("=")
+                if sep and k == "backend":
+                    active = v
+    return None if active is None else {"active": active}
 
 
 def prof_rollup(events: List[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
@@ -255,8 +230,6 @@ def prof_rollup(events: List[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
         "memory": mem,
         "mem_samples": sum(1 for r in events
                            if r.get("kind") == "mem_sample"),
-        "pool_samples": sum(1 for r in events
-                            if r.get("kind") == "pool_sample"),
     }
 
 
@@ -410,15 +383,7 @@ def render_summary(summary: Dict[str, Any]) -> str:
     backend = summary.get("backend")
     if backend:
         lines.append("backend:")
-        if backend.get("active"):
-            lines.append(f"  active         {backend['active']}")
-        for which, pool in backend.get("pools", {}).items():
-            rate = ("n/a" if pool["hit_rate"] is None
-                    else f"{pool['hit_rate'] * 100:.1f}%")
-            lines.append(
-                f"  pool[{which}]     hits={pool['hits']} "
-                f"misses={pool['misses']} hit_rate={rate} "
-                f"bytes_reused={pool['bytes_reused']}")
+        lines.append(f"  active         {backend['active']}")
 
     prof = summary.get("prof")
     if prof:
@@ -484,8 +449,6 @@ def render_prof_summary(prof: Dict[str, Any], top: int = 12) -> str:
         if mem.get("rss_kb") is not None:
             cell += f" rss={mem['rss_kb']}kB"
         lines.append(cell)
-    if prof.get("pool_samples"):
-        lines.append(f"  pool timeline  {prof['pool_samples']} sample(s)")
     return "\n".join(lines)
 
 

@@ -53,8 +53,7 @@ TIMING_KEYS = ("wall", "dur_s", "total_s", "wall_s", "mem")
 #: profiler record kinds whose *content* is allowed to vary between
 #: identical runs (live bytes and RSS follow GC timing); the fingerprint
 #: keeps only their ``kind`` so record order/count stays checked
-_NONDETERMINISTIC_KINDS = frozenset(
-    {"mem_sample", "pool_sample", "mem_summary"})
+_NONDETERMINISTIC_KINDS = frozenset({"mem_sample", "mem_summary"})
 
 _TRACE_VERSION = 1
 

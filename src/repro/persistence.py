@@ -468,10 +468,11 @@ def load_checkpoint(strategy: IncrementalStrategy, path: PathLike,
     """Restore a checkpoint into ``strategy`` in place.
 
     The strategy must be built on the same model architecture and data
-    split (same parameter shapes); user interest matrices may have any
-    row count — they are restored verbatim.  Integrity and compatibility
-    are fully validated *before* the first mutation, so a failed load
-    leaves the strategy exactly as it was.
+    split (same parameter shapes), under the compute backend the
+    checkpoint was written with (same parameter dtype); user interest
+    matrices may have any row count — they are restored verbatim.
+    Integrity and compatibility are fully validated *before* the first
+    mutation, so a failed load leaves the strategy exactly as it was.
 
     ``strict`` (default) raises when the checkpoint contains users the
     strategy does not know; pass ``strict=False`` to skip them with a
@@ -510,6 +511,15 @@ def load_checkpoint(strategy: IncrementalStrategy, path: PathLike,
         if name not in params:
             raise KeyError(f"checkpoint parameter {name!r} not in model")
         target = params[name].data
+        if target.dtype != arr.dtype:
+            # the compute backend fixes the dtype and is not part of the
+            # run fingerprint: refuse, rather than cast one run's state
+            # into another's
+            raise CheckpointError(
+                f"checkpoint parameter {name!r} is {arr.dtype} but the "
+                f"model computes in {target.dtype}; select the compute "
+                f"backend the run was written under (REPRO_BACKEND=fast "
+                f"for float32, default for float64)")
         if target.shape != arr.shape:
             row_grown = (getattr(params[name], "row_sparse", False)
                          and arr.ndim == target.ndim and target.ndim >= 1

@@ -10,7 +10,7 @@ counter.
 
 import pytest
 
-from repro.backend import FastBackend, use_backend
+from repro.backend import use_backend
 from repro.experiments import make_strategy, run_strategy
 from repro.incremental import TrainConfig
 from repro.obs import summarize_trace
@@ -20,14 +20,12 @@ from repro.obs import summarize_trace
 @pytest.mark.parametrize("backend_name", ["default", "fast"])
 def test_clean_imsr_sa_run_skips_no_step(tiny_split, tmp_path,
                                          backend_name, users_per_batch):
-    backend = (FastBackend(blas_threads=None) if backend_name == "fast"
-               else backend_name)
     # lr 0.2 grows the EIR logits (Eq. 10) until a float32 sigmoid
     # saturates to exactly 1.0
     config = TrainConfig(epochs_pretrain=2, epochs_incremental=2, lr=0.2,
                          num_negatives=5, seed=0,
                          users_per_batch=users_per_batch)
-    with use_backend(backend):
+    with use_backend(backend_name):
         strategy = make_strategy("IMSR", "ComiRec-SA", tiny_split, config,
                                  model_kwargs={"dim": 12, "num_interests": 3})
         run_strategy(strategy, tiny_split, "tiny", "ComiRec-SA",

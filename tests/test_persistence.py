@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.backend import use_backend
 from repro.experiments import make_strategy, run_strategy
 from repro.faults import FaultPlan, InjectedIOError, SimulatedCrash, active, flip_one_byte
 from repro.incremental import TrainConfig
@@ -174,6 +175,36 @@ class TestValidation:
         for user, state in fresh.states.items():
             assert np.allclose(state.interests,
                                strategy.states[user].interests)
+
+
+class TestBackendMismatch:
+    """The compute backend fixes every array's dtype but is not part of
+    the run fingerprint, so a checkpoint written under one backend must
+    not load into a strategy built under the other."""
+
+    @pytest.mark.parametrize("written,loaded,message", [
+        ("fast", "default", "float32 but the model computes in float64"),
+        ("default", "fast", "float64 but the model computes in float32"),
+    ], ids=["fast-to-default", "default-to-fast"])
+    def test_other_backends_checkpoint_refused_before_mutation(
+            self, tiny_split, fast_config, tmp_path, written, loaded,
+            message):
+        with use_backend(written):
+            source = build(tiny_split, fast_config, name="FT")
+            source.pretrain()
+            path = save_checkpoint(source, tmp_path / "ckpt.npz")
+        with use_backend(loaded):
+            target = build(tiny_split, fast_config, name="FT")
+        params = target.model.state_dict()
+        interests = {u: s.interests.copy() for u, s in target.states.items()}
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(target, path)
+        for name, value in target.model.state_dict().items():
+            assert value.dtype == params[name].dtype, name
+            assert np.array_equal(value, params[name]), name
+        for user, state in target.states.items():
+            assert state.interests.dtype == interests[user].dtype
+            assert np.array_equal(state.interests, interests[user]), user
 
 
 class TestPathNormalization:

@@ -17,7 +17,7 @@ from repro.autograd import Tensor
 from repro.backend.instrument import InstrumentedBackend, einsum_flops
 from repro.experiments import run_strategy
 from repro.models import ComiRecDR
-from repro.nn import Adam, clip_grad_norm
+from repro.nn import Adam, Parameter, clip_grad_norm
 from repro.obs import prof as _prof
 from repro.obs import (
     MemTracker,
@@ -310,11 +310,26 @@ class TestStepSampling:
         prof = start_profiling(instrument_backend=False)
         prof._stride = 1
         for _ in range(_prof._TIMELINE_CAP + 10):
-            prof.on_step(None)
+            prof.on_step()
         stop_profiling(emit=False)
         assert prof._stride >= 2
         assert len(prof.mem_timeline) <= _prof._TIMELINE_CAP + 1
         assert prof.steps == _prof._TIMELINE_CAP + 10
+
+    def test_optimizer_step_samples_memory_without_backend_instrumentation(
+            self):
+        """Optimizers signal the step boundary to the profiler directly,
+        so memory is sampled whether or not the backend is wrapped."""
+        weight = Parameter(np.ones((4, 3)))
+        opt = Adam([weight], lr=0.1)
+        prof = start_profiling(instrument_backend=False)
+        assert not isinstance(backend.active, InstrumentedBackend)
+        (weight * weight).sum().backward()
+        opt.step()
+        stop_profiling(emit=False)
+        assert prof.steps == 1
+        assert len(prof.mem_timeline) == 1
+        assert prof.mem_timeline[0]["step"] == 1
 
 
 class TestRunIntegration:

@@ -266,8 +266,8 @@ GRAPHS: Dict[str, Callable[[Tensor, np.random.Generator], Tensor]] = {
     "through_a_non_leaf": through_a_non_leaf,
 }
 
-#: (backend, table rows); the fast backend's scatter switches from
-#: bincount to np.add.at above 32k table elements (d = 8 here)
+#: (backend, table rows): a small and a large table (d = 8) on each
+#: backend; both scatter with np.add.at, in float64 and float32
 BACKEND_CASES = [("default", 12), ("default", 5000), ("fast", 12),
                  ("fast", 5000)]
 

@@ -65,9 +65,8 @@ def _rule_family_counts(by_rule: dict) -> dict:
 def parse_lint(text: str) -> Tuple[str, str]:
     """Turn a ``repro.analysis --format json`` report into a table row.
 
-    Aliasing (RA6xx), determinism (RA7xx), and interprocedural (RA8xx)
-    counts are always shown — zero included — so the summary records
-    that those families ran.
+    Aliasing (RA6xx) and determinism (RA7xx) counts are always shown —
+    zero included — so the summary records that those families ran.
     """
     payload = json.loads(text)
     summary = payload.get("summary", {})
@@ -76,7 +75,7 @@ def parse_lint(text: str) -> Tuple[str, str]:
     files = int(summary.get("files_scanned", 0))
     families = _rule_family_counts(summary.get("by_rule", {}))
     tracked = ", ".join(
-        f"{fam} {families.get(fam, 0)}" for fam in ("RA6xx", "RA7xx", "RA8xx"))
+        f"{fam} {families.get(fam, 0)}" for fam in ("RA6xx", "RA7xx"))
     if findings == 0 and parse_errors == 0:
         return ("static analysis", f"clean ({files} files; {tracked})")
     by_rule = summary.get("by_rule", {})

@@ -8,11 +8,7 @@ AST rule engine with per-rule ids/severities, ``# repro: noqa[RULE]``
 inline suppression, a committed baseline for grandfathered findings,
 text/JSON/GitHub/SARIF reporters, and deterministic exit codes.
 
-Intra-procedural families (RA1xx–RA7xx) run per module; the
-interprocedural family (RA80x) runs over a whole-project call graph
-with fixed-point function summaries (:mod:`repro.analysis.callgraph`,
-:mod:`repro.analysis.summaries`), cached to a deterministic sidecar so
-warm re-lints skip parsing entirely.
+Every rule (RA1xx–RA7xx, RA9xx) runs on one module at a time.
 
 Run it as ``python -m repro.analysis src``, ``repro lint``, or the
 ``repro-lint`` console script; the rule catalogue lives in
@@ -20,11 +16,9 @@ Run it as ``python -m repro.analysis src``, ``repro lint``, or the
 """
 
 from .baseline import Baseline, BaselineEntry, discover_baseline
-from .callgraph import ModuleFacts, ProjectIndex, extract_module_facts
 from .core import (
     Finding,
     ModuleContext,
-    ProjectRule,
     Rule,
     RULE_REGISTRY,
     all_rules,
@@ -32,41 +26,24 @@ from .core import (
 )
 from .engine import AnalysisReport, analyze_paths, analyze_source, iter_python_files
 from .reporters import render_github, render_json, render_sarif, render_text
-from .summaries import (
-    FunctionSummary,
-    ProjectAnalysis,
-    SummaryCache,
-    analyze_project,
-)
 from . import rules  # registers the rule set on import
-from . import shapes  # registers the RA5xx shape-contract family
 from . import aliasing  # registers the RA6xx aliasing family
 from . import determinism  # registers the RA7xx determinism family
-from . import interprocedural  # registers the RA80x interprocedural family
 
 __all__ = [
     "AnalysisReport",
     "Baseline",
     "BaselineEntry",
     "Finding",
-    "FunctionSummary",
     "ModuleContext",
-    "ModuleFacts",
-    "ProjectAnalysis",
-    "ProjectIndex",
-    "ProjectRule",
     "Rule",
     "RULE_REGISTRY",
-    "SummaryCache",
     "aliasing",
     "all_rules",
     "analyze_paths",
-    "analyze_project",
     "analyze_source",
     "determinism",
     "discover_baseline",
-    "extract_module_facts",
-    "interprocedural",
     "iter_python_files",
     "register",
     "render_github",
@@ -74,5 +51,4 @@ __all__ = [
     "render_sarif",
     "render_text",
     "rules",
-    "shapes",
 ]

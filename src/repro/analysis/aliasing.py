@@ -1,9 +1,8 @@
 """RA6xx: aliasing rules — mutation through views of Tensor buffers.
 
 The RA101 family flags in-place writes *directly* into ``<x>.data`` /
-``<x>.grad``.  This pass extends the check through local dataflow, the
-same way the RA5xx shape propagator extends contracts through function
-bodies: it tracks which local names *may alias* a Tensor buffer —
+``<x>.grad``.  This pass extends the check through local dataflow: it
+tracks which local names *may alias* a Tensor buffer —
 
 * ``v = t.data`` and ``g = t.grad`` (the buffer itself),
 * slicing/indexing (``t.data[rows]``, gather outputs — conservatively
@@ -11,6 +10,8 @@ bodies: it tracks which local names *may alias* a Tensor buffer —
 * ``.T`` and the view-producing methods (``reshape``, ``ravel``,
   ``squeeze``, ``swapaxes``, ``transpose``, ``diagonal``),
 * the np-level equivalents (``np.asarray``, ``np.ravel``, …),
+* inside a ``@shape_contract`` function, every argument except ``out``
+  (each is the caller's array, so a write to it leaks back out),
 
 — and flags three sinks: in-place mutation of an alias (RA601),
 mutating library calls on an alias (RA602: ``.fill``/``.sort``/
@@ -280,6 +281,20 @@ class _AliasTracker:
             self._bind(target.value, None)
 
 
+def _contract_arguments(fn: ast.AST) -> List[str]:
+    """Input parameters of a ``@shape_contract`` function (else none).
+
+    ``out`` is left out: by numpy convention it is the caller's output
+    buffer, which the function exists to write into.
+    """
+    if not any(isinstance(dec, ast.Call)
+               and terminal_name(dec.func) == "shape_contract"
+               for dec in fn.decorator_list):
+        return []
+    params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+    return [a.arg for a in params if a.arg not in ("self", "cls", "out")]
+
+
 def alias_findings(ctx: ModuleContext) -> List[Sink]:
     """All RA6xx findings for one module (rule id, node, message)."""
     sink: List[Sink] = []
@@ -288,7 +303,13 @@ def alias_findings(ctx: ModuleContext) -> List[Sink]:
     _AliasTracker(sink, substrate).run(ctx.tree.body)
     for node in ast.walk(ctx.tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            _AliasTracker(sink, substrate).run(node.body)
+            tracker = _AliasTracker(sink, substrate)
+            # a contract declares inputs -> outputs: its arguments are the
+            # caller's arrays, so an in-place write to one leaks back out
+            for name in _contract_arguments(node):
+                tracker.env[name] = (f"the caller's '{name}' (a "
+                                     f"@shape_contract argument)")
+            tracker.run(node.body)
     return sink
 
 
@@ -309,7 +330,8 @@ class AliasedBufferMutation(_AliasRule):
     name = "aliased-buffer-mutation"
     severity = SEVERITY_ERROR
     summary = ("in-place mutation (+=, [...] =) of a local value that may "
-               "alias Tensor.data/.grad; take a .copy() before mutating")
+               "alias Tensor.data/.grad or a @shape_contract argument; take "
+               "a .copy() before mutating")
 
 
 @register

@@ -98,11 +98,26 @@ class Baseline:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def stale_entries(self, matched: Sequence[str]) -> List[BaselineEntry]:
-        """Entries whose finding no longer exists (candidates for removal)."""
+    def stale_entries(self, matched: Sequence[str], rules_run: Sequence[str],
+                      scanned: Sequence[str]) -> List[BaselineEntry]:
+        """Entries whose finding no longer exists (candidates for removal).
+
+        Only entries this run could have matched count: the entry's rule
+        ran and its path lies under a scanned path (an entry for a
+        deleted file there is stale).  A narrowed ``--select`` or path
+        list leaves every other entry alone.
+        """
         matched_set = set(matched)
+        rules = set(rules_run)
+        roots = [Path(p).resolve() for p in scanned]
+
+        def in_scope(entry: BaselineEntry) -> bool:
+            path = Path(entry.path).resolve()
+            return entry.rule in rules and any(
+                path == root or root in path.parents for root in roots)
+
         return [e for fp, e in sorted(self.entries.items())
-                if fp not in matched_set]
+                if fp not in matched_set and in_scope(e)]
 
 
 def discover_baseline(paths: Sequence[Path]) -> Optional[Path]:

@@ -14,7 +14,6 @@ findings do not fail), 1 = actionable findings or unparseable files,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -22,7 +21,6 @@ from typing import List, Optional
 from .baseline import Baseline, discover_baseline
 from .core import RULE_REGISTRY
 from .engine import analyze_paths, iter_python_files
-from .summaries import SummaryCache
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,15 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fail-stale", action="store_true",
                         help="exit 1 if the baseline contains stale entries "
                              "(CI hygiene gate)")
-    parser.add_argument("--call-graph", choices=("dot", "json"),
-                        default=None, metavar="FMT",
-                        help="print the interprocedural call graph "
-                             "(dot|json) instead of the findings report")
-    parser.add_argument("--cache", default=None, metavar="FILE",
-                        help="summary-cache sidecar path (default: "
-                             ".repro-lint-cache.json next to the baseline)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the summary cache for this run")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     return parser
@@ -111,34 +100,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                       file=sys.stderr)
                 return 2
 
-    cache = None
-    if not args.no_cache and select is None:
-        if args.cache:
-            cache_path = Path(args.cache)
-        else:
-            anchor = baseline_path.parent if baseline_path is not None \
-                else Path.cwd()
-            cache_path = anchor / SummaryCache.DEFAULT_NAME
-        cache = SummaryCache(cache_path)
-
     try:
         report = analyze_paths(paths, select=select, baseline=baseline,
-                               exclude=args.exclude, cache=cache)
+                               exclude=args.exclude)
     except KeyError as exc:  # unknown --select rule id
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-
-    if args.call_graph:
-        if report.project is None:
-            print("error: --call-graph needs the RA80x rules in the run "
-                  "(drop --select or include RA801-RA805)", file=sys.stderr)
-            return 2
-        if args.call_graph == "dot":
-            print(report.project.graph_as_dot(), end="")
-        else:
-            print(json.dumps(report.project.graph_as_dict(), indent=2,
-                             sort_keys=True))
-        return 0
 
     if args.prune_baseline:
         if baseline is None:

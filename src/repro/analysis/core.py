@@ -43,21 +43,6 @@ SUBSTRATE_PREFIXES = ("repro.autograd", "repro.nn")
 SUBSTRATE_MODULES = ("repro.persistence",)
 
 
-def noqa_directive(line_text: str) -> Optional[frozenset]:
-    """Parse a ``# repro: noqa`` directive from one source line.
-
-    Pure text — no AST needed — which is what lets the engine apply
-    suppressions to cached findings without re-parsing the module.
-    """
-    match = _NOQA_RE.search(line_text)
-    if match is None:
-        return None
-    rules = match.group("rules")
-    if rules is None:
-        return frozenset()
-    return frozenset(r.strip().upper() for r in rules.split(",") if r.strip())
-
-
 @dataclass
 class Finding:
     """One rule violation at a concrete source location."""
@@ -149,7 +134,14 @@ class ModuleContext:
     def noqa_for_line(self, lineno: int) -> Optional[frozenset]:
         """Suppression directive on a line: None (no directive), an empty
         frozenset (suppress everything), or a set of rule ids."""
-        return noqa_directive(self.source_line(lineno))
+        match = _NOQA_RE.search(self.source_line(lineno))
+        if match is None:
+            return None
+        rules = match.group("rules")
+        if rules is None:
+            return frozenset()
+        return frozenset(r.strip().upper() for r in rules.split(",")
+                         if r.strip())
 
     def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
         current = self._parents.get(id(node))
@@ -180,25 +172,6 @@ class Rule:
             message=message,
             source=ctx.source_line(line),
         )
-
-
-class ProjectRule(Rule):
-    """A rule that reasons over the whole-project call graph.
-
-    Subclasses implement :meth:`check_project` against a
-    :class:`repro.analysis.summaries.ProjectAnalysis`; the per-module
-    :meth:`check` is a no-op so project rules slot into the same
-    registry, ``--select``, noqa, and baseline machinery as module
-    rules.
-    """
-
-    scope = "project"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project) -> Iterator[Finding]:
-        raise NotImplementedError
 
 
 #: rule id -> rule instance, in registration order

@@ -2,45 +2,29 @@
 
 :func:`analyze_paths` is the programmatic entry point: it walks the
 given files/directories, parses every python module once, runs the
-registered module rules, extracts call-graph facts, runs the
-interprocedural fixed point and project rules (RA80x), applies
-``# repro: noqa`` suppressions and the baseline, and returns an
-:class:`AnalysisReport` with deterministic ordering and exit semantics
-(0 = clean, 1 = actionable findings).
-
-With a :class:`~repro.analysis.summaries.SummaryCache` attached, both
-the per-module raw findings and the extracted facts are keyed on the
-file's SHA-256: a warm run re-parses nothing — suppression is a pure
-text operation (:func:`repro.analysis.core.noqa_directive`) and only
-the cheap summary fixed point re-runs.  The cache is bypassed whenever
-``--select`` narrows the rule set, so cached entries always reflect
-every registered module rule.
+registered rules, applies ``# repro: noqa`` suppressions and the
+baseline, and returns an :class:`AnalysisReport` with deterministic
+ordering and exit semantics (0 = clean, 1 = actionable findings).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from . import rules as _rules  # noqa: F401  (importing registers the rules)
-from . import shapes as _shapes  # noqa: F401  (registers the RA5xx family)
 from . import aliasing as _aliasing  # noqa: F401  (registers the RA6xx family)
 from . import determinism as _determinism  # noqa: F401  (registers RA7xx)
-from . import interprocedural as _ipa  # noqa: F401  (registers RA80x)
 from .baseline import Baseline, BaselineEntry
-from .callgraph import ModuleFacts, extract_module_facts
 from .core import (
     PARSE_ERROR_RULE,
     RULE_REGISTRY,
     SEVERITY_ERROR,
     Finding,
     ModuleContext,
-    ProjectRule,
     Rule,
-    noqa_directive,
 )
-from .summaries import ProjectAnalysis, SummaryCache, analyze_project, file_sha
 
 _SKIP_DIR_SUFFIXES = (".egg-info",)
 _SKIP_DIR_NAMES = ("__pycache__", "build", "dist")
@@ -92,9 +76,6 @@ class AnalysisReport:
     files_scanned: int = 0
     rules_run: List[str] = field(default_factory=list)
     baseline_path: Optional[Path] = None
-    project: Optional[ProjectAnalysis] = None
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def exit_code(self) -> int:
@@ -124,47 +105,22 @@ def selected_rules(select: Optional[Sequence[str]] = None) -> List[Rule]:
     return [rule for rid, rule in RULE_REGISTRY.items() if rid in wanted]
 
 
-def _split_rules(rules: Sequence[Rule]):
-    module_rules = [r for r in rules if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-    return module_rules, project_rules
-
-
-def _finding_to_cache(finding: Finding) -> Dict[str, object]:
-    return {"rule": finding.rule, "severity": finding.severity,
-            "path": finding.path, "line": finding.line, "col": finding.col,
-            "message": finding.message, "source": finding.source}
-
-
-def _finding_from_cache(raw: Dict[str, object]) -> Finding:
-    return Finding(**raw)
+def _suppressed(ctx: ModuleContext, finding: Finding) -> bool:
+    directive = ctx.noqa_for_line(finding.line)
+    return directive is not None and (not directive
+                                      or finding.rule in directive)
 
 
 def analyze_source(source: str, path: Path, select: Optional[Sequence[str]] = None,
                    display_path: Optional[str] = None) -> List[Finding]:
     """Run the (selected) rules over one in-memory module.
 
-    Project rules see a single-module project, so RA80x fixtures and
-    snippets behave exactly like a one-file tree.  noqa suppression is
-    applied; the baseline is not.
+    noqa suppression is applied; the baseline is not.
     """
     ctx = ModuleContext.from_source(source, path,
                                     display_path=display_path or str(path))
-    module_rules, project_rules = _split_rules(selected_rules(select))
-    findings: List[Finding] = []
-    for rule in module_rules:
-        findings.extend(rule.check(ctx))
-    if project_rules:
-        project = analyze_project([extract_module_facts(ctx)])
-        for rule in project_rules:
-            findings.extend(rule.check_project(project))
-    kept = []
-    for f in findings:
-        directive = ctx.noqa_for_line(f.line)
-        if directive is not None and (not directive or f.rule in directive):
-            continue
-        kept.append(f)
-    return _sorted(kept)
+    findings = [f for rule in selected_rules(select) for f in rule.check(ctx)]
+    return _sorted([f for f in findings if not _suppressed(ctx, f)])
 
 
 def _sorted(findings: List[Finding]) -> List[Finding]:
@@ -173,97 +129,43 @@ def _sorted(findings: List[Finding]) -> List[Finding]:
 
 def analyze_paths(paths: Sequence[str], select: Optional[Sequence[str]] = None,
                   baseline: Optional[Baseline] = None,
-                  exclude: Sequence[str] = (),
-                  cache: Optional[SummaryCache] = None) -> AnalysisReport:
+                  exclude: Sequence[str] = ()) -> AnalysisReport:
     """Analyze a tree; apply noqa directives and the baseline."""
     rules = selected_rules(select)
-    module_rules, project_rules = _split_rules(rules)
     report = AnalysisReport(rules_run=[r.id for r in rules])
     if baseline is not None:
         report.baseline_path = baseline.source
-    # cached entries cover the full module-rule set; a narrowed --select
-    # run must not read or write them
-    use_cache = cache is not None and select is None
-
     matched_fingerprints: List[str] = []
-    lines_by_path: Dict[str, List[str]] = {}
-    facts_list: List[ModuleFacts] = []
-
-    def _admit(finding: Finding, source_lines: List[str]) -> None:
-        lineno = finding.line
-        text = source_lines[lineno - 1] if 1 <= lineno <= len(source_lines) \
-            else ""
-        directive = noqa_directive(text)
-        if directive is not None and (not directive
-                                      or finding.rule in directive):
-            report.noqa_suppressed.append(finding)
-            return
-        fingerprint = finding.fingerprint()
-        if baseline is not None and fingerprint in baseline:
-            matched_fingerprints.append(fingerprint)
-            report.baselined.append(finding)
-            return
-        report.findings.append(finding)
 
     for path in iter_python_files(paths, exclude=exclude):
         report.files_scanned += 1
         display = _display_path(path)
         try:
             source = path.read_text(encoding="utf-8")
-        except (UnicodeDecodeError, OSError) as exc:
+            ctx = ModuleContext.from_source(source, path,
+                                            display_path=display)
+        except (UnicodeDecodeError, OSError, SyntaxError) as exc:
+            line = getattr(exc, "lineno", 1) or 1
             report.parse_errors.append(Finding(
                 rule=PARSE_ERROR_RULE, severity=SEVERITY_ERROR, path=display,
-                line=1, col=0, message=f"could not analyze file: {exc}"))
+                line=line, col=0, message=f"could not analyze file: {exc}"))
             continue
-        source_lines = source.splitlines()
-        lines_by_path[display] = source_lines
-
-        raw_findings: Optional[List[Finding]] = None
-        facts: Optional[ModuleFacts] = None
-        if use_cache:
-            sha = file_sha(source)
-            hit = cache.lookup(display, sha)
-            if hit is not None:
-                raw_findings = [_finding_from_cache(f) for f in hit[0]]
-                facts = hit[1]
-
-        if raw_findings is None:
-            try:
-                ctx = ModuleContext.from_source(source, path,
-                                                display_path=display)
-            except SyntaxError as exc:
-                line = getattr(exc, "lineno", 1) or 1
-                report.parse_errors.append(Finding(
-                    rule=PARSE_ERROR_RULE, severity=SEVERITY_ERROR,
-                    path=display, line=line, col=0,
-                    message=f"could not analyze file: {exc}"))
-                continue
-            raw_findings = [f for rule in module_rules
-                            for f in rule.check(ctx)]
-            facts = extract_module_facts(ctx)
-            if use_cache:
-                cache.store(display, sha,
-                            [_finding_to_cache(f) for f in raw_findings],
-                            facts)
-
-        for finding in raw_findings:
-            _admit(finding, source_lines)
-        facts_list.append(facts)
-
-    if project_rules and facts_list:
-        report.project = analyze_project(facts_list)
-        for rule in project_rules:
-            for finding in rule.check_project(report.project):
-                _admit(finding, lines_by_path.get(finding.path, []))
-
-    if use_cache:
-        report.cache_hits = cache.hits
-        report.cache_misses = cache.misses
-        cache.save()
+        for rule in rules:
+            for finding in rule.check(ctx):
+                if _suppressed(ctx, finding):
+                    report.noqa_suppressed.append(finding)
+                    continue
+                fingerprint = finding.fingerprint()
+                if baseline is not None and fingerprint in baseline:
+                    matched_fingerprints.append(fingerprint)
+                    report.baselined.append(finding)
+                    continue
+                report.findings.append(finding)
 
     report.findings = _sorted(report.findings)
     report.baselined = _sorted(report.baselined)
     report.noqa_suppressed = _sorted(report.noqa_suppressed)
     if baseline is not None:
-        report.stale_baseline = baseline.stale_entries(matched_fingerprints)
+        report.stale_baseline = baseline.stale_entries(
+            matched_fingerprints, report.rules_run, paths)
     return report

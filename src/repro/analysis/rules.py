@@ -48,6 +48,15 @@ _NP_RANDOM_OK = frozenset(
      "PCG64", "Philox", "MT19937", "SFC64"}
 )
 
+#: stdlib ``random`` module functions that draw from (or reseed) its
+#: hidden global state; a ``random.Random(seed)`` instance is fine
+_PY_RANDOM_DRAWS = frozenset({
+    "random", "randint", "randrange", "uniform", "choice", "choices",
+    "sample", "shuffle", "gauss", "normalvariate", "betavariate",
+    "expovariate", "lognormvariate", "paretovariate", "triangular",
+    "vonmisesvariate", "weibullvariate", "getrandbits", "randbytes", "seed",
+})
+
 _GUARD_CALLS_LOG = frozenset({"clip", "maximum", "minimum", "log1p", "where"})
 _GUARD_CALLS_EXP = frozenset({"clip", "maximum", "minimum", "abs", "log1p",
                               "tanh", "sigmoid"})
@@ -329,10 +338,16 @@ class GlobalNumpyRandom(Rule):
     id = "RA201"
     name = "global-np-random"
     severity = SEVERITY_ERROR
-    summary = ("call into the legacy global np.random state instead of a "
-               "seeded np.random.Generator")
+    summary = ("call into the legacy global np.random state or the stdlib "
+               "random module instead of a seeded generator")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        # names the stdlib ``random`` module is bound to (``import
+        # random [as r]``)
+        stdlib_random = {alias.asname or alias.name
+                         for node in ast.walk(ctx.tree)
+                         if isinstance(node, ast.Import)
+                         for alias in node.names if alias.name == "random"}
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -348,6 +363,13 @@ class GlobalNumpyRandom(Rule):
                     f"'{name}' draws from the global numpy RNG, breaking "
                     f"run-to-run reproducibility; thread a seeded "
                     f"np.random.Generator instead")
+            elif (len(parts) == 2 and parts[0] in stdlib_random
+                    and parts[1] in _PY_RANDOM_DRAWS):
+                yield self.finding(
+                    ctx, node,
+                    f"'{name}' draws from the stdlib random module's global "
+                    f"state, breaking run-to-run reproducibility; thread a "
+                    f"seeded np.random.Generator (or random.Random(seed))")
 
 
 @register

@@ -643,7 +643,7 @@ def pad_rows(packed: Tensor, lengths: Sequence[int],
     offset = 0
     for b, n in enumerate(lengths):
         # slice assignment copies the packed rows; no alias survives
-        data[b, :n] = a.data[offset:offset + n]  # repro: noqa[RA603]
+        data[b, :n] = a.data[offset:offset + n]
         offset += n
 
     def grad_fn(g: np.ndarray) -> np.ndarray:

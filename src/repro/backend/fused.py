@@ -267,8 +267,7 @@ def _loss_kernel(interests: Tensor, target_embs: Tensor, neg_embs: Tensor,
     logits = np.concatenate([pos[..., None], neg], axis=2)
     shifted = logits - logits.max(axis=2, keepdims=True)
     prob = np.empty(shifted.shape, dtype=dt)
-    # shifted is max-subtracted two lines up; the scan can't see through it
-    np.exp(shifted, out=prob)  # repro: noqa[RA302]
+    np.exp(shifted, out=prob)
     denom = prob.sum(axis=2, keepdims=True)
     # denom >= 1: the row max contributes exp(0) = 1 to the sum
     nll = np.log(denom[..., 0]) - shifted[..., 0]  # repro: noqa[RA301]

@@ -16,8 +16,9 @@ Commands
 ``checkpoint-info PATH [--verify]``
     Inspect a checkpoint written by :mod:`repro.persistence`; with
     ``--verify``, re-hash every array against its manifest.
-``lint [PATHS...]``
-    Run the repository's static-analysis rules (:mod:`repro.analysis`).
+``lint [ARGS...]``
+    Run the repository's static-analysis rules (:mod:`repro.analysis`);
+    the arguments go to ``python -m repro.analysis`` unchanged.
 ``contracts list``
     Show every registered ``@shape_contract`` (:mod:`repro.contracts`).
 ``trace summarize DIR``
@@ -119,24 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ckpt.add_argument("--verify", action="store_true",
                         help="re-hash every array against the manifest")
 
-    p_lint = sub.add_parser("lint", help="run the static-analysis rules")
-    p_lint.add_argument("paths", nargs="*",
-                        help="files/directories to analyze (default: src)")
-    p_lint.add_argument("--format", choices=("text", "json", "github", "sarif"),
-                        default="text", dest="fmt")
-    p_lint.add_argument("--select", default=None, metavar="RULES")
-    p_lint.add_argument("--baseline", default=None, metavar="FILE")
-    p_lint.add_argument("--no-baseline", action="store_true")
-    p_lint.add_argument("--exclude", action="append", default=[],
-                        metavar="NAME")
-    p_lint.add_argument("--write-baseline", action="store_true")
-    p_lint.add_argument("--prune-baseline", action="store_true")
-    p_lint.add_argument("--fail-stale", action="store_true")
-    p_lint.add_argument("--call-graph", choices=("dot", "json"),
-                        default=None, metavar="FMT")
-    p_lint.add_argument("--cache", default=None, metavar="FILE")
-    p_lint.add_argument("--no-cache", action="store_true")
-    p_lint.add_argument("--list-rules", action="store_true")
+    # main() hands everything after ``lint`` to repro.analysis.cli
+    sub.add_parser("lint", add_help=False,
+                   help="run the static-analysis rules (`repro lint "
+                        "--help` lists the analyzer's options)")
 
     p_contracts = sub.add_parser(
         "contracts", help="inspect the shape-contract registry")
@@ -329,36 +316,6 @@ def cmd_checkpoint_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis.cli import main as analysis_main
-
-    argv: List[str] = list(args.paths)
-    argv += ["--format", args.fmt]
-    if args.select:
-        argv += ["--select", args.select]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.no_baseline:
-        argv.append("--no-baseline")
-    for name in args.exclude:
-        argv += ["--exclude", name]
-    if args.write_baseline:
-        argv.append("--write-baseline")
-    if args.prune_baseline:
-        argv.append("--prune-baseline")
-    if args.fail_stale:
-        argv.append("--fail-stale")
-    if args.call_graph:
-        argv += ["--call-graph", args.call_graph]
-    if args.cache:
-        argv += ["--cache", args.cache]
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.list_rules:
-        argv.append("--list-rules")
-    return analysis_main(argv)
-
-
 def cmd_contracts(args: argparse.Namespace) -> int:
     from .contracts import checking_enabled, load_annotated, registry_rows
 
@@ -520,6 +477,11 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["lint"]:
+        from .analysis.cli import main as analysis_main
+
+        return analysis_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.command == "list":
         return cmd_list()
@@ -531,8 +493,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return cmd_experiment(args)
     if args.command == "checkpoint-info":
         return cmd_checkpoint_info(args)
-    if args.command == "lint":
-        return cmd_lint(args)
     if args.command == "contracts":
         return cmd_contracts(args)
     if args.command == "trace":

@@ -10,21 +10,16 @@ machine-checked contract::
     def affinity(items, interests):
         return items @ interests.T
 
-One declarative spec feeds two enforcement layers:
-
-* **static** — ``repro lint`` (rules RA501–RA504 in
-  :mod:`repro.analysis.shapes`) propagates the symbolic dims through the
-  function body and flags contradictions at build time;
-* **runtime** — :func:`enforce` / ``REPRO_CHECK_SHAPES=1`` checks the
-  same specs against concrete shapes at call boundaries, catching the
-  fuzzy cases the static pass soundly skips.
+One declarative spec feeds one enforcement layer: :func:`enforce` /
+``REPRO_CHECK_SHAPES=1`` checks it against concrete shapes at call
+boundaries.  The spec is parsed when the decorator runs, so a malformed
+spec or an arity mismatch fails at import time even with checking off.
 
 ``repro contracts list`` prints the registry.
 """
 
 from .runtime import (
     CONTRACT_REGISTRY,
-    EXTERNAL_CONTRACTS,
     ContractDefinitionError,
     ContractEntry,
     ContractViolation,
@@ -33,7 +28,6 @@ from .runtime import (
     enforce,
     enforced,
     load_annotated,
-    register_external,
     registry_rows,
     shape_contract,
 )
@@ -50,14 +44,12 @@ __all__ = [
     "ContractEntry",
     "ContractParseError",
     "ContractViolation",
-    "EXTERNAL_CONTRACTS",
     "checking_enabled",
     "contract_for",
     "enforce",
     "enforced",
     "load_annotated",
     "parse_contract",
-    "register_external",
     "registry_rows",
     "shape_contract",
 ]

@@ -1,8 +1,8 @@
 """Runtime enforcement of shape contracts at call boundaries.
 
 ``@shape_contract("(B, T, D) f -> (B, K, D) f")`` registers the parsed
-contract (so the static RA5xx pass, ``repro contracts list``, and the
-coverage metrics all see one declarative source) and wraps the function
+contract (so ``repro contracts list`` and the coverage metrics see the
+same declarative source the checker enforces) and wraps the function
 with a checker that is a single boolean test when enforcement is off —
 near-zero overhead on hot paths.
 
@@ -99,30 +99,6 @@ class ContractEntry:
 
 #: "module.qualname" -> entry, in registration (import) order
 CONTRACT_REGISTRY: Dict[str, ContractEntry] = {}
-
-#: dotted callable name -> spec string, for third-party-style call sites
-#: the static pass should propagate through even though we cannot decorate
-#: them.  Extend with :func:`register_external`.
-EXTERNAL_CONTRACTS: Dict[str, str] = {}
-
-
-def register_external(name: str, spec: str) -> Contract:
-    """Declare a contract for an undecoratable callable (e.g. ``np.outer``).
-
-    The static pass unifies call sites in decorated functions against it;
-    there is no runtime wrapper (the callee is not ours to wrap).
-    """
-    contract = parse_contract(spec)  # fail fast on bad specs
-    EXTERNAL_CONTRACTS[name] = spec
-    return contract
-
-
-# Shapes the analysis cannot special-case natively but that appear in
-# numerically-flavoured call sites; kept deliberately small.
-register_external("np.outer", "(N) any, (M) any -> (N, M) any")
-register_external("np.ones_like", "(...S) any -> (...S) any")
-register_external("np.zeros_like", "(...S) any -> (...S) any")
-
 
 def _describe_value(value) -> Tuple[Optional[Tuple[int, ...]], Optional[str]]:
     """(shape, dtype-class) of a runtime value, or (None, None) to skip.

@@ -1,18 +1,14 @@
-"""The shape/dtype contract DSL — the single declarative source consumed
-by both enforcement layers.
+"""The shape/dtype contract DSL.
 
 A contract is a compact spec string::
 
     "(B, T, D) f, (K, D) f -> (B, K, D) f"
 
 attached to a function with :func:`repro.contracts.shape_contract`.  The
-same parsed :class:`Contract` object drives
-
-* the **static** RA5xx pass (:mod:`repro.analysis.shapes`), which
-  propagates symbolic dimensions through the decorated function's AST, and
-* the **runtime** checker (:mod:`repro.contracts.runtime`), which binds
-  the symbols against concrete ``ndarray``/``Tensor`` shapes at call
-  boundaries when enforcement is on.
+parsed :class:`Contract` drives the runtime checker
+(:mod:`repro.contracts.runtime`), which binds the symbols against
+concrete ``ndarray``/``Tensor`` shapes at call boundaries when
+enforcement is on.
 
 Grammar (argument specs separated by top-level commas, ``->`` between
 inputs and outputs)::
@@ -43,7 +39,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 
 class ContractParseError(ValueError):
-    """Raised for a malformed spec string (statically: RA502)."""
+    """Raised for a malformed spec string."""
 
 
 #: dtype classes the DSL knows about.  ``f``/``i`` accept any float/int
@@ -139,27 +135,6 @@ class Contract:
     inputs: Tuple[ArgSpec, ...]
     outputs: Tuple[ArgSpec, ...]
     spec: str = ""
-
-    def symbol_names(self) -> List[str]:
-        """Every SymDim / named-ellipsis name, inputs first, in order."""
-        seen: List[str] = []
-        for spec in (*self.inputs, *self.outputs):
-            if not isinstance(spec, TensorSpec):
-                continue
-            for dim in spec.dims:
-                name = None
-                if isinstance(dim, SymDim):
-                    name = dim.name
-                elif isinstance(dim, EllipsisDim) and dim.name:
-                    name = "..." + dim.name
-                if name is not None and name not in seen:
-                    seen.append(name)
-        return seen
-
-    def input_symbols(self) -> List[str]:
-        """Names bound by the inputs (the outputs may introduce more)."""
-        partial = Contract(inputs=self.inputs, outputs=())
-        return partial.symbol_names()
 
     def __str__(self) -> str:
         return self.spec or "{} -> {}".format(

@@ -1,5 +1,5 @@
-"""Engine mechanics: noqa suppression, baseline round-trip, reporters,
-file discovery, and CLI exit codes."""
+"""Engine mechanics: noqa suppression, baseline round-trip and scope,
+reporters (SARIF included), file discovery, and CLI exit codes."""
 
 import json
 from pathlib import Path
@@ -13,6 +13,7 @@ from repro.analysis import (
     discover_baseline,
     iter_python_files,
     render_json,
+    render_sarif,
     render_text,
 )
 from repro.analysis.cli import main as lint_main
@@ -22,6 +23,11 @@ BAD_LOSS = (
     "import numpy as np\n"
     "def nll_loss(probs):\n"
     "    return -np.log(probs).mean()\n"
+)
+
+BAD_BUFFER = (
+    "def corrupt(param, grad):\n"
+    "    param.data += 0.1 * grad\n"
 )
 
 
@@ -121,6 +127,39 @@ class TestBaseline:
             assert entry.get("justification"), entry
 
 
+class TestBaselineScope:
+    """A narrowed run judges only the baseline entries it could match."""
+
+    NARROWED = {
+        "select": lambda root: [str(root), "--select", "RA401"],
+        "path": lambda root: [str(root / "other")],
+    }
+
+    @pytest.fixture()
+    def tree(self, tmp_path):
+        (tmp_path / "lib").mkdir()
+        (tmp_path / "other").mkdir()
+        write(tmp_path / "lib", "loss.py", BAD_LOSS)
+        write(tmp_path / "other", "defaults.py",
+              "def f(seen=[]):\n    return seen\n")
+        baseline = tmp_path / "analysis-baseline.json"
+        assert lint_main([str(tmp_path), "--baseline", str(baseline),
+                          "--write-baseline"]) == 0
+        assert len(Baseline.load(baseline)) == 2
+        return tmp_path, baseline
+
+    @pytest.mark.parametrize("narrowing", sorted(NARROWED))
+    def test_narrowed_run_leaves_other_entries_alone(self, tree, narrowing,
+                                                     capsys):
+        root, baseline = tree
+        argv = self.NARROWED[narrowing](root) + ["--baseline", str(baseline)]
+        assert lint_main(argv + ["--fail-stale"]) == 0
+        assert "stale" not in capsys.readouterr().err
+        assert lint_main(argv + ["--prune-baseline"]) == 0
+        assert "pruned 0 stale entries" in capsys.readouterr().out
+        assert len(Baseline.load(baseline)) == 2
+
+
 class TestDiscoveryAndSelection:
     def test_iter_skips_caches_and_hidden_dirs(self, tmp_path):
         write(tmp_path, "keep.py", "x = 1\n")
@@ -181,6 +220,30 @@ class TestReporters:
         assert "RA000" in render_text(report)
 
 
+class TestSarif:
+    def test_sarif_shape_and_fingerprints(self, tmp_path):
+        write(tmp_path, "m.py", BAD_BUFFER)
+        report = analyze_paths([str(tmp_path)])
+        sarif = json.loads(render_sarif(report))
+        assert sarif["version"] == "2.1.0"
+        run = sarif["runs"][0]
+        rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
+        assert "RA101" in rule_ids and rule_ids == sorted(rule_ids)
+        (result,) = run["results"]
+        assert result["ruleId"] == "RA101"
+        assert result["level"] == "error"
+        fp = result["partialFingerprints"]["reproFingerprint/v1"]
+        assert fp == report.findings[0].fingerprint()
+        region = result["locations"][0]["physicalLocation"]["region"]
+        assert region["startLine"] == report.findings[0].line
+
+    def test_sarif_is_deterministic(self, tmp_path):
+        write(tmp_path, "m.py", BAD_BUFFER)
+        r1 = analyze_paths([str(tmp_path)])
+        r2 = analyze_paths([str(tmp_path)])
+        assert render_sarif(r1) == render_sarif(r2)
+
+
 class TestCli:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         write(tmp_path, "m.py", "x = 1\n")
@@ -226,6 +289,36 @@ class TestCli:
         # grandfathered finding no longer fails the run
         assert lint_main([str(tmp_path), "--baseline", str(baseline)]) == 0
         assert "1 baselined" in capsys.readouterr().out
+
+    def _stale_baseline(self, tmp_path):
+        # the entry names a deleted file under the scanned path, so it
+        # is stale even though every other file is clean
+        write(tmp_path, "m.py", "x = 1\n")
+        return write(tmp_path, "analysis-baseline.json", json.dumps({
+            "version": 1,
+            "findings": [{"fingerprint": "feedfeedfeedfeed",
+                          "rule": "RA101",
+                          "path": (tmp_path / "gone.py").as_posix(),
+                          "justification": "stale on purpose"}],
+        }))
+
+    def test_fail_stale_gates_clean_runs(self, tmp_path, capsys):
+        baseline = self._stale_baseline(tmp_path)
+        code = lint_main([str(tmp_path), "--baseline", str(baseline),
+                          "--fail-stale"])
+        assert code == 1
+        assert "stale baseline" in capsys.readouterr().err
+
+    def test_prune_baseline_rewrites_file(self, tmp_path, capsys):
+        baseline = self._stale_baseline(tmp_path)
+        code = lint_main([str(tmp_path), "--baseline", str(baseline),
+                          "--prune-baseline"])
+        assert code == 0
+        payload = json.loads(baseline.read_text())
+        assert payload["findings"] == []
+        # and the gate passes afterwards
+        assert lint_main([str(tmp_path), "--baseline", str(baseline),
+                          "--fail-stale"]) == 0
 
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0

@@ -41,7 +41,7 @@ def test_src_tree_is_clean_without_baseline():
 def test_gate_actually_scans_the_package():
     report = run_gate()
     assert report.files_scanned >= 100  # src ~77 modules + tests + benchmarks
-    assert len(set(report.rules_run)) >= 12  # RA1xx-RA4xx plus RA5xx
+    assert len(set(report.rules_run)) >= 12  # RA1xx-RA4xx, RA6xx, RA7xx, RA901
 
 
 def test_gate_skips_the_deliberately_bad_fixtures():

@@ -86,6 +86,24 @@ class TestRuleDetails:
                "    return np.random.Generator(np.random.PCG64(seed))\n")
         assert analyze_source(src, tmp_path / "m.py") == []
 
+    def test_ra201_flags_stdlib_random_module_draws(self, tmp_path):
+        src = ("import random as rnd\n"
+               "def f(xs, seed):\n"
+               "    rnd.shuffle(xs)\n"
+               "    return rnd.Random(seed).choice(xs)\n")
+        findings = analyze_source(src, tmp_path / "m.py")
+        assert [(f.rule, f.line) for f in findings] == [("RA201", 3)]
+
+    def test_ra601_flags_writes_into_contract_arguments(self, tmp_path):
+        src = ("from repro.contracts import shape_contract\n"
+               "@shape_contract(\"(N) f, (N) f -> (N) f\")\n"
+               "def f(scores, out):\n"
+               "    out += scores\n"             # numpy's output buffer
+               "    scores *= 2.0\n"
+               "    return out\n")
+        findings = analyze_source(src, tmp_path / "m.py")
+        assert [(f.rule, f.line) for f in findings] == [("RA601", 5)]
+
     def test_ra301_clip_via_local_assignment_is_guarded(self, tmp_path):
         # the binary_cross_entropy idiom: clip first, log later
         src = ("def bce_loss(pred, target, eps=1e-9):\n"

@@ -74,7 +74,7 @@ DIRTY_LINT = """\
 class TestLintIngestion:
     def test_parse_clean_report(self):
         assert summarize.parse_lint(CLEAN_LINT) == (
-            "static analysis", "clean (77 files; RA6xx 0, RA7xx 0, RA8xx 0)")
+            "static analysis", "clean (77 files; RA6xx 0, RA7xx 0)")
 
     def test_parse_dirty_report(self):
         title, cell = summarize.parse_lint(DIRTY_LINT)
@@ -96,7 +96,7 @@ class TestLintIngestion:
                                "--lint", str(lint)]) == 0
         out = capsys.readouterr().out
         assert "Table III" in out
-        assert "clean (77 files; RA6xx 0, RA7xx 0, RA8xx 0)" in out
+        assert "clean (77 files; RA6xx 0, RA7xx 0)" in out
 
     def test_main_with_missing_lint_file(self, tmp_path):
         bench = tmp_path / "bench.txt"
@@ -266,7 +266,7 @@ class TestLintIngestionEndToEnd:
         bench.write_text(SAMPLE)
         assert summarize.main(["summarize.py", str(bench),
                                "--lint", str(lint)]) == 0
-        assert ("clean (1 files; RA6xx 0, RA7xx 0, RA8xx 0)"
+        assert ("clean (1 files; RA6xx 0, RA7xx 0)"
                 in capsys.readouterr().out)
 
 
@@ -318,4 +318,4 @@ class TestRuleFamilyRollup:
 
     def test_dirty_report_keeps_tracked_families_visible(self):
         _, cell = summarize.parse_lint(DIRTY_LINT)
-        assert "RA6xx 0, RA7xx 0, RA8xx 0" in cell
+        assert "RA6xx 0, RA7xx 0" in cell

@@ -30,9 +30,8 @@ def affinity(items, interests):
 
 @shape_contract("(N, D) f, (K, D) f -> (N, K) f")
 def bad_affinity(items, interests):
-    # wrong output orientation: returns (K, N); the static pass
-    # rightly flags this deliberate runtime fixture
-    return interests @ items.T  # repro: noqa[RA501] intentional violation
+    # wrong output orientation: returns (K, N)
+    return interests @ items.T
 
 
 @pytest.fixture
@@ -143,7 +142,7 @@ class TestChecking:
 
         @shape_contract("(N, D) f -> (N) f, (N) f")
         def liar(x):
-            return x.sum(axis=1), x.sum(axis=0)  # repro: noqa[RA501] intentional violation
+            return x.sum(axis=1), x.sum(axis=0)
 
         with pytest.raises(ContractViolation):
             liar(np.ones((3, 5)))
@@ -162,13 +161,13 @@ class TestChecking:
 class TestDefinitionErrors:
     def test_bad_spec_fails_at_decoration(self):
         with pytest.raises(ContractDefinitionError):
-            @shape_contract("(N, D -> (N)")  # repro: noqa[RA502] intentional bad spec
+            @shape_contract("(N, D -> (N)")
             def broken(x):
                 return x
 
     def test_arity_mismatch_fails_at_decoration(self):
         with pytest.raises(ContractDefinitionError):
-            @shape_contract("(N) f, (M) f -> ()")  # repro: noqa[RA502] intentional arity mismatch
+            @shape_contract("(N) f, (M) f -> ()")
             def unary(x):
                 return x
 

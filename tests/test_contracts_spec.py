@@ -44,11 +44,6 @@ class TestParsing:
         assert c.inputs[0].ellipsis_index == 2
         assert c.inputs[0].min_ndim == 2
 
-    def test_symbol_names_in_order(self):
-        c = parse_contract("(K, D) f, (), (N, D) f -> (KN, KO) f, (KN) f")
-        assert c.symbol_names() == ["K", "D", "N", "KN", "KO"]
-        assert c.input_symbols() == ["K", "D", "N"]
-
     @pytest.mark.parametrize("bad", [
         "(N, D) f",                    # no arrow
         "(N) -> (N) -> (N)",           # two arrows

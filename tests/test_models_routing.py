@@ -5,7 +5,11 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.models import aggregate_interests, attention_scores, b2i_routing, score_items
-from repro.models.routing import _softmax_over_items, squash_np
+from repro.models.routing import (
+    _softmax_over_capsules,
+    _softmax_over_items,
+    squash_np,
+)
 
 
 class TestSquashNp:
@@ -85,6 +89,14 @@ class TestRouting:
         logits = rng.normal(size=(7, 3))
         out = _softmax_over_items(logits)
         assert np.allclose(out.sum(axis=0), 1.0)
+
+    def test_softmax_over_capsules_is_a_row_softmax(self, rng):
+        # N != K, so normalising over the wrong axis cannot pass
+        logits = rng.normal(size=(7, 3)) * 3.0
+        exp = np.exp(logits)
+        expected = exp / exp.sum(axis=1)[:, None]
+        np.testing.assert_allclose(_softmax_over_capsules(logits), expected,
+                                   rtol=1e-12)
 
 
 class TestAggregator:

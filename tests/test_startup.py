@@ -111,8 +111,7 @@ def test_linter_is_still_an_attribute_and_a_command(tmp_path):
 
     clean = tmp_path / "clean.py"
     clean.write_text('"""A clean module."""\n\nVALUE = 1\n')
-    lint = run_python("-m", "repro", "lint", str(clean), "--no-baseline",
-                      "--no-cache")
+    lint = run_python("-m", "repro", "lint", str(clean), "--no-baseline")
     assert lint.returncode == 0, lint.stdout + lint.stderr
 
 

@@ -569,30 +569,26 @@ class OverbroadExcept(Rule):
 # RA9xx — compute-backend discipline
 # --------------------------------------------------------------------- #
 
-#: raw numpy GEMM-family entry points that bypass ``repro.backend``
-_RAW_GEMM_CALLS = frozenset(
-    {"dot", "vdot", "inner", "matmul", "einsum", "tensordot"}
-)
-
 #: ufuncs whose ``.at`` form scatters in place
 _SCATTER_UFUNCS = frozenset(
     {"add", "subtract", "multiply", "divide", "maximum", "minimum"}
 )
 
 #: modules that *implement* the backend (or the substrate's own gather /
-#: scatter internals) and therefore get to call BLAS directly
+#: scatter internals) and therefore get to scatter directly
 _BACKEND_IMPL_PREFIXES = ("repro.backend",)
 _BACKEND_IMPL_MODULES = frozenset({"repro.autograd.tensor"})
 
 
 @register
-class RawBlasBypassesBackend(Rule):
-    """RA901: GEMM/scatter must route through ``repro.backend.active``."""
+class RawScatterBypassesBackend(Rule):
+    """RA901: a scatter into a Tensor buffer must route through
+    ``repro.backend.active.scatter_add``, where the profiler times it."""
 
     id = "RA901"
-    name = "raw-blas-bypasses-backend"
+    name = "raw-scatter-bypasses-backend"
     severity = SEVERITY_ERROR
-    summary = ("direct np.dot/np.matmul/np.einsum/np.<ufunc>.at call "
+    summary = ("direct np.<ufunc>.at scatter into a Tensor buffer "
                "bypasses the pluggable compute backend")
 
     def _exempt(self, ctx: ModuleContext) -> bool:
@@ -609,15 +605,7 @@ class RawBlasBypassesBackend(Rule):
             if name is None:
                 continue
             parts = name.split(".")
-            if len(parts) == 2 and parts[0] in ("np", "numpy"):
-                if parts[1] in _RAW_GEMM_CALLS:
-                    yield self.finding(
-                        ctx, node,
-                        f"'{name}' calls BLAS directly, so the backend and "
-                        f"its profiler instrumentation cannot see it; use "
-                        f"repro.backend.active.einsum or the Tensor @ "
-                        f"operator")
-            elif (len(parts) == 3 and parts[0] in ("np", "numpy")
+            if (len(parts) == 3 and parts[0] in ("np", "numpy")
                     and parts[1] in _SCATTER_UFUNCS and parts[2] == "at"
                     and node.args and is_buffer_access(node.args[0])):
                 # scatter into a Tensor buffer; scratch arrays are fine

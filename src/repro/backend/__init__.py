@@ -1,14 +1,14 @@
 """`repro.backend` — pluggable compute backends for the autograd core.
 
 Every hot path in the reproduction bottoms out in the hand-rolled
-:mod:`repro.autograd` engine; this package is the narrow interface that
-engine (and the models' batched kernels) compute through:
+:mod:`repro.autograd` engine and the model kernels in
+:mod:`repro.backend.fused` (routing, attention, sampled softmax).  A
+backend fixes the compute dtype they run in and owns the embedding
+backward's scatter:
 
-* :class:`NumpyBackend` (``"default"``) — the paper-exact float64 path,
-  byte-for-byte identical to the substrate before this layer existed;
-* :class:`FastBackend` (``"fast"``) — opt-in float32 compute and fused
-  routing / attention / sampled-softmax kernels
-  (:mod:`repro.backend.fused`).
+* :class:`NumpyBackend` (``"default"``) — the paper-exact float64 path;
+* :class:`FastBackend` (``"fast"``) — opt-in float32 compute, the same
+  kernels.
 
 Selection (names are case-insensitive)::
 
@@ -48,7 +48,7 @@ _BACKENDS: Dict[str, Type[Backend]] = {
     "fast": FastBackend,
 }
 
-#: the live backend every Tensor creation / fused dispatch reads
+#: the live backend every Tensor creation and scatter reads
 active: Backend = NumpyBackend()
 
 

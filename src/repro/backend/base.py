@@ -1,15 +1,11 @@
 """The backend interface: the paper-exact float64 default and ``fast``.
 
-A backend holds what the autograd/nn substrate reads from it: the
-compute dtype, whether model code dispatches to the fused kernels in
-:mod:`repro.backend.fused`, the einsum contractions of the unfused
-batched routing, and the scatter-add / segment-sum of the embedding
-backward.  Everything else (GEMMs, gathers, ufuncs, reductions) calls
-numpy directly.  :class:`NumpyBackend` delegates every op to the
-literal numpy call the substrate used before this layer existed, at
-``float64`` — so the default path stays byte-for-byte identical to the
-paper-exact reproduction.  :class:`FastBackend` runs the same ops in
-``float32`` and flips on the fused kernels.
+A backend is a name, a compute dtype and the two scatter ops of the
+embedding backward (``scatter_add`` and ``segment_sum``).  Everything
+else — the kernels in :mod:`repro.backend.fused`, GEMMs, gathers,
+ufuncs, reductions — calls numpy directly, so both backends run the
+same code: :class:`NumpyBackend` in ``float64`` (the paper-exact
+reproduction), :class:`FastBackend` in ``float32``.
 
 This module must import nothing from :mod:`repro.autograd` (the tensor
 engine imports *us* to learn its compute dtype).
@@ -25,7 +21,7 @@ from ..contracts import shape_contract
 
 
 class Backend:
-    """Abstract compute backend.  Subclasses set the three attributes.
+    """Abstract compute backend.  Subclasses set the two attributes.
 
     Attributes
     ----------
@@ -34,18 +30,10 @@ class Backend:
     compute_dtype:
         The numpy dtype every :class:`repro.autograd.Tensor` is stored
         and computed in.
-    fused:
-        Whether model code should dispatch to the fused kernels in
-        :mod:`repro.backend.fused` instead of building op-by-op graphs.
     """
 
     name: str = "abstract"
     compute_dtype: np.dtype = np.dtype(np.float64)
-    fused: bool = False
-
-    def einsum(self, spec: str, *operands: np.ndarray) -> np.ndarray:
-        """General tensor contraction (``np.einsum`` semantics)."""
-        return np.einsum(spec, *operands)
 
     @shape_contract("(N, D) f, _, (...I, D) f -> _")
     def scatter_add(self, out: np.ndarray, indices: np.ndarray,
@@ -73,28 +61,18 @@ class Backend:
 
 
 class NumpyBackend(Backend):
-    """Paper-exact default: float64, unfused, literal numpy ops.
-
-    Selecting this backend reproduces the pre-backend substrate
-    bit-for-bit — every op above *is* the call the engine made before
-    the refactor, and ``compute_dtype`` is the float64 the reproduction
-    has always trained in.
-    """
+    """Paper-exact default: float64 compute."""
 
     name = "default"
     compute_dtype = np.dtype(np.float64)
-    fused = False
 
 
 class FastBackend(Backend):
-    """Opt-in float32 compute plus the fused kernels (tolerance-gated).
+    """Opt-in float32 compute (tolerance-gated).
 
     float32 halves memory traffic through every GEMM and keeps metric
-    drift within documented tolerances; ``fused`` makes model code run
-    routing, attention and the sampled-softmax loss as single kernels
-    instead of op-by-op autograd graphs.  See ``docs/PERFORMANCE.md``.
+    drift within documented tolerances.  See ``docs/PERFORMANCE.md``.
     """
 
     name = "fast"
     compute_dtype = np.dtype(np.float32)
-    fused = True

@@ -1,22 +1,23 @@
-"""Fused forward+backward kernels for the fast backend.
+"""The one implementation of the paper's three learned operations.
 
-The per-op autograd graphs behind interest extraction and the
-sampled-softmax loss spend most of their time in Python — dozens of
-tiny Tensor nodes over d=32 matrices.  Each kernel here computes the
-same mathematics as the unfused graph in one numpy pass, hand-derives
-the backward, and registers a *single* graph node whose per-parent
-closures share one cached backward computation.
+B2I dynamic routing (Eqs. 3–4), additive self-attention (Eqs. 7–9) and
+the target-attentive sampled-softmax loss (Eqs. 5–6) each run here as
+one numpy forward with a hand-derived backward, registered as a
+*single* graph node whose per-parent closures share one cached backward
+computation.  Both backends run the same kernels; ``fast`` changes only
+the compute dtype.
 
-Model code dispatches here when ``repro.backend.active.fused`` is true
-(see ``models/routing.py``, ``models/comirec_sa.py``,
-``models/sampled_softmax.py``, ``models/batched_train.py``); the
-equivalence suite (``tests/test_backend.py``) pins every kernel against
-its unfused counterpart at float64 to ~1e-9 and bounds the float32
-drift of the fast backend to documented tolerances.
+Each kernel works on a padded ``(B, ...)`` block.  The batched training
+engine (``models/batched_train.py``) passes masks for ragged sequence
+lengths and interest counts; the per-user model methods call the
+``*_single`` entry points, which view one user's arrays as B=1 (numpy
+views, no extra graph nodes) and drop the leading batch axis from every
+parent gradient on the way out.
 
-Per-user entry points reuse the batched kernels at B=1: the data arrays
-are expanded with numpy views (no extra graph nodes) and every parent
-gradient drops the leading batch axis on the way out.
+The op-by-op autograd graphs of the same equations live only in the
+test suite (``tests/reference_graphs.py``), which pins every kernel to
+them at float64 to 1e-12 in values and in every parameter gradient, and
+checks the backwards against finite differences.
 
 This module imports :mod:`repro.autograd` and therefore must only be
 imported from model code, never from ``repro.backend.__init__`` (the
@@ -54,15 +55,14 @@ def _squeeze0(parents):
 
 
 # ---------------------------------------------------------------------- #
-# masked batched softmax over the item axis (axis 1 of (B, n, K))
+# masked batched softmaxes of (B, n, K) routing logits
 # ---------------------------------------------------------------------- #
 def _masked_softmax_items(logits: np.ndarray,
                           item_mask: Optional[np.ndarray]) -> np.ndarray:
-    """Softmax over the items of (B, n, K) logits, masking padding.
+    """Softmax over the items (axis 1) of (B, n, K) logits, masking padding.
 
-    With ``item_mask=None`` (per-user call: every slot real) this equals
-    the per-user ``_softmax_over_items`` exactly — the masking terms
-    reduce to multiplications by 1.0 and a no-op ``maximum``.
+    With ``item_mask=None`` (per-user call: every slot real) the masking
+    terms drop out and this is the plain softmax over axis 1.
     """
     dt = logits.dtype
     if item_mask is None:
@@ -76,7 +76,25 @@ def _masked_softmax_items(logits: np.ndarray,
     return exp / np.maximum(denom, _const(1e-30, dt))
 
 
+def _masked_softmax_capsules(logits: np.ndarray,
+                             capsule_mask: Optional[np.ndarray]) -> np.ndarray:
+    """Softmax over the capsules (axis 2) of (B, n, K) logits.
+
+    Padded capsule columns are set to ``_NEG`` before the max is taken,
+    so they get exactly zero weight and real columns normalise among
+    themselves.  Padded item rows need no mask: their transformed
+    embeddings are exact zeros, so they add nothing to the votes.
+    """
+    if capsule_mask is not None:
+        logits = np.where(capsule_mask[:, None, :], logits,
+                          _const(_NEG, logits.dtype))
+    shifted = logits - logits.max(axis=2, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=2, keepdims=True)
+
+
 def _squash_np(x: np.ndarray, eps: float = 1e-9) -> np.ndarray:
+    """Capsule squash over the last axis, for the no-grad iterations."""
     sq = (x * x).sum(axis=-1, keepdims=True)
     return x * (sq / (1.0 + sq) / np.sqrt(sq + eps))
 
@@ -88,13 +106,22 @@ def _dr_kernel(e_hat: Tensor, E: np.ndarray, capsules0: np.ndarray,
                item_mask: Optional[np.ndarray],
                capsule_mask: Optional[np.ndarray],
                extra_logits: Optional[np.ndarray],
-               iterations: int, eps: float = 1e-9):
+               iterations: int, normalize: str, eps: float = 1e-9):
     """Shared batched routing kernel over (B, n, d) transformed items.
 
+    ``normalize`` picks the vote softmax: ``"items"`` (paper text, over
+    axis 1) or ``"capsules"`` (MIND/ComiRec reference code, over axis 2).
     Routing weights are constants for backprop (MIND/ComiRec practice);
     the only parent is ``e_hat``, reached through the final
-    ``squash(Cᵀ ê)`` — exactly the unfused graph's gradient structure.
+    ``squash(Cᵀ ê)``.
     """
+    if normalize == "items":
+        vote_softmax, vote_mask = _masked_softmax_items, item_mask
+    elif normalize == "capsules":
+        vote_softmax, vote_mask = _masked_softmax_capsules, capsule_mask
+    else:
+        raise ValueError(
+            f"normalize must be 'items' or 'capsules', got {normalize!r}")
     dt = E.dtype
     caps = capsules0.astype(dt, copy=False)
     logits = np.empty((E.shape[0], E.shape[1], caps.shape[1]), dtype=dt)
@@ -104,10 +131,10 @@ def _dr_kernel(e_hat: Tensor, E: np.ndarray, capsules0: np.ndarray,
     if extra_logits is not None:
         logits += extra_logits.astype(dt, copy=False)
     for _ in range(iterations - 1):
-        coupling = _masked_softmax_items(logits, item_mask)
+        coupling = vote_softmax(logits, vote_mask)
         caps = _squash_np(np.matmul(coupling.transpose(0, 2, 1), E), eps=eps)
         logits += np.matmul(E, caps.transpose(0, 2, 1))
-    coupling = _masked_softmax_items(logits, item_mask)
+    coupling = vote_softmax(logits, vote_mask)
     if capsule_mask is not None:
         coupling = coupling * capsule_mask[:, None, :]
     votes = np.matmul(coupling.transpose(0, 2, 1), E)  # V (B, K, d)
@@ -131,19 +158,20 @@ def _dr_kernel(e_hat: Tensor, E: np.ndarray, capsules0: np.ndarray,
 def fused_dr_interests(e_hat: Tensor, capsules0: np.ndarray,
                        item_mask: np.ndarray, capsule_mask: np.ndarray,
                        extra_logits: Optional[np.ndarray],
-                       iterations: int) -> Tensor:
-    """Batched fused routing: drop-in for the unfused ``_extract_dr`` core."""
+                       iterations: int, normalize: str) -> Tensor:
+    """Batched routing over a padded (B, n, d) group."""
     return _dr_kernel(e_hat, e_hat.data, capsules0, item_mask, capsule_mask,
-                      extra_logits, iterations)
+                      extra_logits, iterations, normalize)
 
 
 def fused_dr_interests_single(e_hat: Tensor, init_interests: np.ndarray,
                               iterations: int,
-                              init_logits: Optional[np.ndarray]) -> Tensor:
-    """Per-user fused routing: drop-in for ``b2i_routing`` (items norm)."""
+                              init_logits: Optional[np.ndarray],
+                              normalize: str) -> Tensor:
+    """One user's routing: the B=1 view behind ``b2i_routing``."""
     extra = None if init_logits is None else init_logits[None]
     node = _dr_kernel(e_hat, e_hat.data[None], init_interests[None],
-                      None, None, extra, iterations)
+                      None, None, extra, iterations, normalize)
     return Tensor._make(node.data[0], _squeeze0(node._backward_fns))
 
 
@@ -153,7 +181,7 @@ def fused_dr_interests_single(e_hat: Tensor, init_interests: np.ndarray,
 def _sa_kernel(embs: Tensor, w1, user_ws: Sequence, E: np.ndarray,
                item_mask: Optional[np.ndarray],
                capsule_mask: Optional[np.ndarray]):
-    """Batched fused SA extraction over (B, n, d) item embeddings.
+    """Batched SA extraction over (B, n, d) item embeddings.
 
     Parents: the embedding block, the shared ``W1`` and each user's
     attention matrix; one cached backward computes all of their grads.
@@ -223,12 +251,12 @@ def _sa_kernel(embs: Tensor, w1, user_ws: Sequence, E: np.ndarray,
 def fused_sa_interests(embs: Tensor, w1, user_ws: Sequence,
                        item_mask: np.ndarray,
                        capsule_mask: np.ndarray) -> Tensor:
-    """Batched fused SA: drop-in for the unfused ``_extract_sa`` core."""
+    """Batched self-attention over a padded (B, n, d) group."""
     return _sa_kernel(embs, w1, user_ws, embs.data, item_mask, capsule_mask)
 
 
 def fused_sa_interests_single(embs: Tensor, w1, w_u) -> Tensor:
-    """Per-user fused SA: drop-in for ``ComiRecSA.compute_interests``."""
+    """One user's self-attention: the B=1 view behind ``ComiRecSA``."""
     node = _sa_kernel(embs, w1, [w_u], embs.data[None], None, None)
     return Tensor._make(node.data[0], _squeeze0(node._backward_fns))
 
@@ -308,7 +336,7 @@ def _loss_kernel(interests: Tensor, target_embs: Tensor, neg_embs: Tensor,
 def fused_sampled_softmax(interests: Tensor, target_embs: Tensor,
                           neg_embs: Tensor, capsule_mask: np.ndarray,
                           weights: np.ndarray) -> Tensor:
-    """Batched fused loss: drop-in for the ``batched_loss_targets`` core."""
+    """Batched loss over a padded (B, M, J) target/negative block."""
     return _loss_kernel(interests, target_embs, neg_embs,
                         interests.data, target_embs.data, neg_embs.data,
                         capsule_mask, weights, batched=True)
@@ -316,7 +344,7 @@ def fused_sampled_softmax(interests: Tensor, target_embs: Tensor,
 
 def fused_sampled_softmax_single(interests: Tensor, target_embs: Tensor,
                                  neg_embs: Tensor) -> Tensor:
-    """Per-user fused loss: drop-in for ``batch_sampled_softmax_loss``."""
+    """One user's mean-over-targets loss (B=1 view)."""
     m = target_embs.shape[0]
     weights = np.full((1, m), 1.0 / m)
     return _loss_kernel(interests, target_embs, neg_embs,

@@ -1,8 +1,8 @@
 """InstrumentedBackend: per-op timing/FLOP/byte wrapper for any backend.
 
 Wraps a registered backend (paper-exact float64 default or the fast
-float32 backend) and reports every ``einsum`` and ``scatter_add`` call
-(``segment_sum`` counts as a ``scatter_add``) to the active
+float32 backend) and reports every ``scatter_add`` call (``segment_sum``
+counts as a ``scatter_add``) to the active
 :class:`repro.obs.prof.OpProfiler`, tagged with a power-of-two shape
 bucket, estimated FLOPs, and bytes moved.  Every op delegates to the
 wrapped backend, so its numerics are bit-identical to the bare one —
@@ -23,31 +23,7 @@ import numpy as np
 from ..obs import prof as _prof
 from .base import Backend
 
-__all__ = ["InstrumentedBackend", "einsum_flops"]
-
-
-def einsum_flops(spec: str, *operands: np.ndarray) -> float:
-    """FLOP estimate for the contraction specs the models actually use.
-
-    The three routing/attention contractions are batched matmuls
-    (``2*B*M*K*N``); anything else falls back to a conservative
-    lower bound of one multiply-add per output element per operand.
-    """
-    if len(operands) == 2 and "->" in spec:
-        a, b = operands
-        if spec == "bnd,bkd->bnk":
-            bsz, n, d = a.shape
-            return 2.0 * bsz * n * d * b.shape[1]
-        if spec == "bnk,bnd->bkd":
-            bsz, n, k = a.shape
-            return 2.0 * bsz * n * k * b.shape[2]
-        if spec == "bnk,bkd->bnd":
-            bsz, n, k = a.shape
-            return 2.0 * bsz * n * k * b.shape[2]
-    total = 0.0
-    for operand in operands:
-        total += 2.0 * operand.size
-    return total
+__all__ = ["InstrumentedBackend"]
 
 
 class InstrumentedBackend(Backend):
@@ -64,25 +40,9 @@ class InstrumentedBackend(Backend):
         self.inner = inner
         self.name = f"instrumented({inner.name})"
         self.compute_dtype = inner.compute_dtype
-        self.fused = inner.fused
 
     def __repr__(self) -> str:
         return f"InstrumentedBackend({self.inner!r})"
-
-    def einsum(self, spec: str, *operands: np.ndarray) -> np.ndarray:
-        prof = _prof._PROFILER
-        if prof is None:
-            return self.inner.einsum(spec, *operands)
-        t0 = _perf()
-        out = self.inner.einsum(spec, *operands)
-        dur = _perf() - t0
-        moved = out.nbytes
-        for operand in operands:
-            moved += operand.nbytes
-        prof.record_backend_op(
-            f"einsum[{spec}]", dur, _prof.shape_bucket(out.size),
-            einsum_flops(spec, *operands), moved)
-        return out
 
     def scatter_add(self, out: np.ndarray, indices: np.ndarray,
                     updates: np.ndarray) -> None:

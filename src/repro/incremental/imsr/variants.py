@@ -26,7 +26,7 @@ def _teacher_softmax(logits: np.ndarray, axis: int) -> np.ndarray:
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
-def kd1_softmax_over_interests(
+def kd1_interest_softmax(
     interests: Tensor, prev_interests: np.ndarray, target_embs: Tensor,
     temperature: float = 1.0,
 ) -> Tensor:
@@ -42,7 +42,7 @@ def kd1_softmax_over_interests(
     return -(teacher * logp).sum(axis=1).mean()
 
 
-def kd2_softmax_over_items(
+def kd2_item_softmax(
     interests: Tensor, prev_interests: np.ndarray, target_embs: Tensor,
     temperature: float = 1.0,
 ) -> Tensor:
@@ -66,7 +66,7 @@ def kd3_scaled_softmax(
     """KD3 (BiC-style): KD1's loss at doubled temperature with the
     classic ``τ²`` gradient-magnitude correction (Hinton et al., 2015)."""
     tau = 2.0 * temperature
-    return kd1_softmax_over_interests(
+    return kd1_interest_softmax(
         interests, prev_interests, target_embs, temperature=tau
     ) * (tau * tau)
 
@@ -92,8 +92,8 @@ def eir_sigmoid(
 RETAINERS: Dict[str, RetainerFn] = {
     "EIR": eir_sigmoid,
     "DIR": dir_euclidean,
-    "KD1": kd1_softmax_over_interests,
-    "KD2": kd2_softmax_over_items,
+    "KD1": kd1_interest_softmax,
+    "KD2": kd2_item_softmax,
     "KD3": kd3_scaled_softmax,
 }
 

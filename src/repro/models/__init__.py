@@ -1,14 +1,9 @@
 """Base multi-interest sequential recommendation models."""
 
 from .base import MSRModel, UserState
-from .aggregator import (
-    aggregate_interests,
-    attention_scores,
-    score_items,
-    score_items_batch,
-)
-from .routing import b2i_routing, squash_np
-from .sampled_softmax import batch_sampled_softmax_loss, sampled_softmax_loss
+from .aggregator import attention_scores, score_items, score_items_batch
+from .routing import b2i_routing
+from .sampled_softmax import batch_sampled_softmax_loss
 from .mind import MIND
 from .comirec_dr import ComiRecDR
 from .comirec_sa import ComiRecSA
@@ -42,13 +37,10 @@ __all__ = [
     "ComiRecSA",
     "MODEL_REGISTRY",
     "make_model",
-    "aggregate_interests",
     "attention_scores",
     "score_items",
     "score_items_batch",
     "b2i_routing",
-    "squash_np",
-    "sampled_softmax_loss",
     "batch_sampled_softmax_loss",
     "recommend",
     "greedy_controllable_selection",

@@ -1,10 +1,11 @@
-"""Target-attentive interest aggregation (paper Eq. 5) and item scoring.
+"""Target attention over interests (paper Eq. 5) and item scoring.
 
 Training uses the target-aware aggregation: the target item embedding acts
 as a query over the user's interests, ``v_u = Σ_k β_k h_k`` with
-``β = softmax(e_aᵀ h_k)``.  Inference cannot see the target, so retrieval
-follows MSR practice (MIND/ComiRec): an item's score is its best match
-across interests, ``score(i) = max_k h_kᵀ e_i``.
+``β = softmax(e_aᵀ h_k)``; it runs inside the sampled-softmax loss kernel
+(:mod:`repro.backend.fused`).  Inference cannot see the target, so
+retrieval follows MSR practice (MIND/ComiRec): an item's score is its best
+match across interests, ``score(i) = max_k h_kᵀ e_i``.
 """
 
 from __future__ import annotations
@@ -13,20 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..autograd import Tensor
-from ..autograd.ops import softmax
 from ..contracts import shape_contract
-
-
-@shape_contract("(K, D) f, (D) f -> (D) f")
-def aggregate_interests(interests: Tensor, target_emb: Tensor) -> Tensor:
-    """Eq. 5: attention-weighted sum of interest vectors.
-
-    ``interests`` is (K, d); ``target_emb`` is (d,).  Returns ``v_u`` (d,).
-    """
-    logits = interests @ target_emb  # (K,)
-    beta = softmax(logits, axis=0)
-    return beta @ interests
 
 
 @shape_contract("(K, D) f, (D) f -> (K) f")

@@ -2,9 +2,10 @@
 
 The per-user training loop (``IncrementalStrategy._train``) extracts one
 user's interests, scores that user's targets, and takes an optimizer
-step — paper-exact, but the Python/graph overhead of thousands of tiny
-autograd ops dominates wall-clock on small models.  This module provides
-the batched counterpart used when ``TrainConfig.users_per_batch > 1``:
+step — paper-exact, but on small models the per-user Python overhead
+and one optimizer step per user dominate wall-clock.  This module
+provides the batched counterpart used when
+``TrainConfig.users_per_batch > 1``:
 
 * :func:`batched_compute_interests` — pad a group of users into one
   batched *differentiable* extraction (B2I routing for the DR family,
@@ -23,33 +24,28 @@ spurious rows are recorded as touched for the sparse optimizer), padded
 capsule columns are multiplied out of the final coupling/attention, and
 padded targets carry zero loss weight.
 
-Numerics: the batched graph evaluates the same formulas as the per-user
-path but through differently-shaped BLAS calls, so per-user losses agree
-to ~1e-8, not bitwise (``tests/test_microbatch.py``).  The bit-exact
-paper configuration is ``users_per_batch=1``, which bypasses this module
-entirely.
+Both paths run the same kernels (:mod:`repro.backend.fused`): this
+module pads a group into one ``(B, ...)`` block, the per-user model
+methods pass a B=1 view.  Per-user values agree with the B=1 path to
+round-off, not always bitwise (``tests/test_microbatch.py``): padding
+changes the shapes the BLAS calls see.  ``users_per_batch=1`` bypasses
+this module entirely.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .. import backend as _backend
 from ..autograd import Tensor, concat, pad_rows, stack
-from ..autograd.ops import log_softmax, softmax, squash
 from ..backend.fused import (
-    _NEG,
-    _masked_softmax_items,
-    _squash_np,
     fused_dr_interests,
     fused_sa_interests,
     fused_sampled_softmax,
 )
 from ..contracts import shape_contract
 from ..nn import Parameter
-from ..obs import prof as _prof
 from ..obs import trace as obs
 from ..sanitize import capture as _capture
 from .base import MSRModel, UserState
@@ -64,14 +60,11 @@ Job = Tuple[UserState, Sequence[int]]
 def supports_batched_training(model: MSRModel) -> bool:
     """Whether :func:`batched_compute_interests` can handle ``model``.
 
-    The batched routing implements the paper-text "items" normalization
-    only (per-capsule softmax columns are independent, so capsule
-    padding cannot corrupt real columns); the "capsules" ablation
-    convention falls back to the per-user loop.
+    The three paper models can, with either routing normalization.  Any
+    other :class:`MSRModel` (the lifelong baselines' extractors) has no
+    batched extraction and trains through the per-user loop.
     """
-    if isinstance(model, ComiRecDR):
-        return model.routing_normalize == "items"
-    return isinstance(model, (MIND, ComiRecSA))
+    return isinstance(model, (ComiRecDR, MIND, ComiRecSA))
 
 
 def _padded_item_embeddings(
@@ -135,51 +128,37 @@ def batched_compute_interests(
 
 
 def _extract_dr(model: MSRModel, jobs: Sequence[Job]):
-    """Batched B2I routing (ComiRec-DR / MIND), in-graph final iteration.
+    """Batched B2I routing (ComiRec-DR / MIND) over the padded group.
 
-    Mirrors :func:`repro.models.routing.b2i_routing`: routing weights
-    are constants for backprop except through the final
-    ``squash(cᵀ ê)``; the iterations themselves run vectorized in numpy
-    over the whole padded group.
+    The batched counterpart of :func:`repro.models.routing.b2i_routing`:
+    the same kernel, fed the group's padded transformed items, initial
+    capsules and (MIND only) random initial logits.
     """
     states = [state for state, _ in jobs]
     capsule_mask, ks = _capsule_padding(states)
     batch, k_max = capsule_mask.shape
-    transform = model.transform if isinstance(model, ComiRecDR) else model.bilinear
+    if isinstance(model, ComiRecDR):
+        transform, normalize = model.transform, model.routing_normalize
+    else:
+        transform, normalize = model.bilinear, "items"
     e_hat = _padded_item_embeddings(model, [seq for _, seq in jobs])[0] @ transform.T
     item_mask = np.zeros((batch, e_hat.shape[1]), dtype=bool)
     capsules = np.zeros((batch, k_max, model.dim))
-    extra_logits = np.zeros((batch, e_hat.shape[1], k_max))
+    extra_logits = None
+    if isinstance(model, MIND):
+        extra_logits = np.zeros((batch, e_hat.shape[1], k_max))
     for b, (state, seq) in enumerate(jobs):
         item_mask[b, :len(seq)] = True
         if isinstance(model, ComiRecDR) and not model.warm_start:
             capsules[b, :ks[b]] = model._random_interests(ks[b])
         else:
             capsules[b, :ks[b]] = state.interests
-        if isinstance(model, MIND):
+        if extra_logits is not None:
             extra_logits[b, :len(seq), :ks[b]] = model._logit_rng.normal(
                 0.0, model.logit_std, size=(len(seq), ks[b]))
-
-    if _backend.active.fused:
-        interests = fused_dr_interests(
-            e_hat, capsules, item_mask, capsule_mask,
-            extra_logits if isinstance(model, MIND) else None,
-            model.routing_iterations)
-        return interests, capsule_mask, ks
-
-    ein = _backend.active.einsum
-    e_np = e_hat.data
-    with _prof.op("extract.b2i_routing"):
-        logits = ein("bnd,bkd->bnk", e_np, capsules) + extra_logits
-        iterations = model.routing_iterations
-        for _ in range(iterations - 1):
-            coupling = _masked_softmax_items(logits, item_mask)
-            capsules = _squash_np(ein("bnk,bnd->bkd", coupling, e_np))
-            logits = logits + ein("bnd,bkd->bnk", e_np, capsules)
-
-        coupling = _masked_softmax_items(logits, item_mask)
-        coupling = coupling * capsule_mask[:, None, :]  # kill padded capsules
-    interests = squash(Tensor(coupling).swapaxes(1, 2) @ e_hat)
+    interests = fused_dr_interests(e_hat, capsules, item_mask, capsule_mask,
+                                   extra_logits, model.routing_iterations,
+                                   normalize)
     return interests, capsule_mask, ks
 
 
@@ -187,7 +166,6 @@ def _extract_sa(model: ComiRecSA, jobs: Sequence[Job]):
     """Batched additive self-attention extraction (Eqs. 7–9)."""
     states = [state for state, _ in jobs]
     capsule_mask, ks = _capsule_padding(states)
-    k_max = capsule_mask.shape[1]
     embs, item_mask = _padded_item_embeddings(model, [seq for _, seq in jobs])
     user_ws: List[Parameter] = []
     for state, k in zip(states, ks):
@@ -200,23 +178,8 @@ def _extract_sa(model: ComiRecSA, jobs: Sequence[Job]):
                 f"{w.data.shape[1]} vs {k}")
         user_ws.append(w)
 
-    if _backend.active.fused:
-        interests = fused_sa_interests(embs, model.w1, user_ws, item_mask,
-                                       capsule_mask)
-        return interests, capsule_mask, ks
-
-    hidden = (embs @ model.w1.T).tanh()              # (B, n, d_a)
-    columns: List[Tensor] = []
-    for w, k in zip(user_ws, ks):
-        if k < k_max:
-            w = concat([w, Tensor(np.zeros((model.attention_dim, k_max - k)))],
-                       axis=1)
-        columns.append(w)
-    w_pad = stack(columns, axis=0)                   # (B, d_a, K_max)
-    logits = hidden @ w_pad + Tensor(np.where(item_mask, 0.0, _NEG)[:, :, None])
-    attn = softmax(logits, axis=1)                   # Eq. 8, over items
-    attn = attn * Tensor(capsule_mask[:, None, :].astype(embs.data.dtype))
-    interests = attn.swapaxes(1, 2) @ embs           # Eq. 9 -> (B, K_max, d)
+    interests = fused_sa_interests(embs, model.w1, user_ws, item_mask,
+                                   capsule_mask)
     return interests, capsule_mask, ks
 
 
@@ -282,20 +245,8 @@ def batched_loss_targets(
                         m_max * num_neg)             # (B, M·J, d)
     neg_embs = neg_embs.reshape(batch, m_max, num_neg, model.dim)
 
-    if _backend.active.fused:
-        return fused_sampled_softmax(interests, target_embs, neg_embs,
-                                     capsule_mask, weights)
-
-    # target-attentive aggregation (Eq. 5) with padded capsules masked out
-    att = target_embs @ interests.swapaxes(1, 2)     # (B, M, K)
-    att = att + Tensor(np.where(capsule_mask, 0.0, _NEG)[:, None, :])
-    beta = softmax(att, axis=2)
-    v = beta @ interests                             # (B, M, d)
-    pos = (v * target_embs).sum(axis=2, keepdims=True)           # (B, M, 1)
-    neg = (neg_embs @ v.reshape(batch, m_max, model.dim, 1)).squeeze(3)
-    logits = concat([pos, neg], axis=2)              # (B, M, 1 + J)
-    nll = -log_softmax(logits, axis=2)[:, :, 0]      # (B, M)
-    return (nll * Tensor(weights)).sum()
+    return fused_sampled_softmax(interests, target_embs, neg_embs,
+                                 capsule_mask, weights)
 
 
 def batched_snapshot_interests(

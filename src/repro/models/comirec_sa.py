@@ -15,9 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .. import backend as _backend
 from ..autograd import Tensor
-from ..autograd.ops import softmax, tanh
+from ..backend.fused import fused_sa_interests_single
 from ..nn import Parameter, init
 from .base import MSRModel, UserState
 
@@ -59,11 +58,4 @@ class ComiRecSA(MSRModel):
                 f"{state.sa_weights.data.shape[1]} vs {state.num_interests}"
             )
         embs = self.embed_items(item_seq)                  # (n, d)
-        if _backend.active.fused:
-            from ..backend.fused import fused_sa_interests_single
-
-            return fused_sa_interests_single(embs, self.w1, state.sa_weights)
-        hidden = tanh(embs @ self.w1.T)                    # (n, d_a) = tanh(W1 E)
-        logits = hidden @ state.sa_weights                 # (n, K)
-        attn = softmax(logits, axis=0)                     # Eq. 8 (over items)
-        return attn.T @ embs                               # Eq. 9 -> (K, d)
+        return fused_sa_interests_single(embs, self.w1, state.sa_weights)

@@ -19,35 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .. import backend as _backend
 from ..autograd import Tensor
-from ..autograd.ops import squash
+from ..backend.fused import fused_dr_interests_single
 from ..contracts import shape_contract
-
-
-@shape_contract("(...S) f -> (...S) f")
-def squash_np(x: np.ndarray, axis: int = -1, eps: float = 1e-9) -> np.ndarray:
-    """Numpy version of the capsule squash, for no-grad routing iterations."""
-    sq_norm = (x * x).sum(axis=axis, keepdims=True)
-    scale = sq_norm / (1.0 + sq_norm) / np.sqrt(sq_norm + eps)
-    return x * scale
-
-
-@shape_contract("(N, K) f -> (N, K) f")
-def _softmax_over_items(logits: np.ndarray) -> np.ndarray:
-    """Softmax across the item axis (axis 0) of an (n, K) logit matrix."""
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=0, keepdims=True)
-
-
-@shape_contract("(N, K) f -> (N, K) f")
-def _softmax_over_capsules(logits: np.ndarray) -> np.ndarray:
-    """Softmax across the capsule axis (axis 1) — MIND/ComiRec reference
-    code convention; kept for the substrate-ablation benchmark."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
 
 
 @shape_contract("(N, D) f, (K, D) f, (), (N, K) f, _ -> (K, D) f")
@@ -93,30 +67,5 @@ def b2i_routing(
         )
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if normalize == "items":
-        softmax_fn = _softmax_over_items
-    elif normalize == "capsules":
-        softmax_fn = _softmax_over_capsules
-    else:
-        raise ValueError(f"normalize must be 'items' or 'capsules', got {normalize!r}")
-
-    if _backend.active.fused and normalize == "items":
-        # the fused kernel implements the paper-text normalization only;
-        # the "capsules" ablation stays on the op-by-op graph
-        from ..backend.fused import fused_dr_interests_single
-
-        return fused_dr_interests_single(e_hat, init_interests, iterations,
-                                         init_logits)
-
-    e_np = e_hat.data
-    logits = e_np @ init_interests.T  # (n, K): votes against initial capsules
-    if init_logits is not None:
-        logits = logits + init_logits
-
-    for _ in range(iterations - 1):
-        coupling = softmax_fn(logits)
-        capsules = squash_np(coupling.T @ e_np)  # (K, d)
-        logits = logits + e_np @ capsules.T
-
-    final_coupling = Tensor(softmax_fn(logits))  # constant for backprop
-    return squash(final_coupling.T @ e_hat)
+    return fused_dr_interests_single(e_hat, init_interests, iterations,
+                                     init_logits, normalize)

@@ -1,44 +1,16 @@
 """Sampled-softmax next-item loss (paper Eq. 6).
 
 The preference score of item ``i`` is ``v_uᵀ e_i`` where ``v_u`` is the
-target-attentive aggregation of the user's interests.  The loss contrasts
-the target against a small uniformly sampled negative set and minimizes the
-negative log-likelihood.
+target-attentive aggregation of the user's interests (Eq. 5).  The loss
+contrasts the target against a small uniformly sampled negative set and
+minimizes the negative log-likelihood.
 """
 
 from __future__ import annotations
 
-from .. import backend as _backend
-from ..autograd import Tensor, concat
-from ..autograd.ops import log_softmax
+from ..autograd import Tensor
+from ..backend.fused import fused_sampled_softmax_single
 from ..contracts import shape_contract
-from .aggregator import aggregate_interests
-
-
-@shape_contract("(K, D) f, (D) f, (M, D) f -> () f")
-def sampled_softmax_loss(
-    interests: Tensor,
-    target_emb: Tensor,
-    negative_embs: Tensor,
-) -> Tensor:
-    """Negative log-likelihood of the target under sampled softmax.
-
-    Parameters
-    ----------
-    interests:
-        (K, d) user interest matrix (differentiable).
-    target_emb:
-        (d,) target item embedding.
-    negative_embs:
-        (num_neg, d) sampled negative item embeddings.
-
-    Returns a scalar Tensor.
-    """
-    v_u = aggregate_interests(interests, target_emb)  # (d,)
-    pos_logit = (v_u * target_emb).sum().reshape(1)
-    neg_logits = negative_embs @ v_u  # (num_neg,)
-    logits = concat([pos_logit, neg_logits], axis=0)
-    return -log_softmax(logits, axis=0)[0]
 
 
 @shape_contract("(K, D) f, (M, D) f, (M, J, D) f -> () f")
@@ -54,23 +26,4 @@ def batch_sampled_softmax_loss(
     share the same interest matrix.  ``target_embs`` is (m, d) and
     ``negative_embs`` is (m, num_neg, d).
     """
-    if _backend.active.fused:
-        from ..backend.fused import fused_sampled_softmax_single
-
-        return fused_sampled_softmax_single(interests, target_embs,
-                                            negative_embs)
-    m = target_embs.shape[0]
-    att = target_embs @ interests.T  # (m, K)
-    beta = _softmax_rows(att)
-    v = beta @ interests  # (m, d) — per-target aggregated user vector
-    pos = (v * target_embs).sum(axis=1).reshape(m, 1)  # (m, 1)
-    neg = (negative_embs @ v.reshape(m, -1, 1)).squeeze(-1)  # (m, num_neg)
-    logits = concat([pos, neg], axis=1)  # (m, 1 + num_neg)
-    return -log_softmax(logits, axis=1)[:, 0].mean()
-
-
-@shape_contract("(N, K) f -> (N, K) f")
-def _softmax_rows(x: Tensor) -> Tensor:
-    shifted = x - Tensor(x.data.max(axis=1, keepdims=True))
-    exp = shifted.exp()
-    return exp / exp.sum(axis=1, keepdims=True)
+    return fused_sampled_softmax_single(interests, target_embs, negative_embs)

@@ -5,14 +5,14 @@ take*; this module answers *where inside the span the time and memory
 went*.  Three hook families feed one :class:`OpProfiler`:
 
 * **backend ops** — :class:`repro.backend.instrument.InstrumentedBackend`
-  wraps any registered backend and times ``einsum`` / ``scatter_add``
+  wraps any registered backend and times ``scatter_add``
   (``segment_sum`` counts as a ``scatter_add``), recording call counts,
   estimated FLOPs, and bytes moved, aggregated by
   ``(phase, op, shape bucket)``;
 * **autograd nodes** — :class:`repro.autograd.Tensor` calls
   :data:`_AUTOGRAD` hooks on every graph-node creation (forward) and
-  every backward function, so fused kernels (one node, one backward fn)
-  are directly comparable to the unfused op-by-op graphs they replace.
+  every backward function, so a model kernel (one node, one backward
+  fn) is timed as a whole next to the op-by-op nodes around it.
   Forward attribution uses the *sandwich* model: all wall time between
   consecutive node creations belongs to the op that produced the later
   node, so python glue is attributed rather than lost;

@@ -1,13 +1,6 @@
-"""RA901 firing: raw BLAS / scatter calls that bypass the backend."""
+"""RA901 firing: a raw scatter into a Tensor buffer bypasses the backend."""
 
 import numpy as np
-
-
-def extract(e_hat, capsules, coupling):
-    logits = np.einsum("nd,kd->nk", e_hat, capsules)   # raw einsum
-    pooled = np.matmul(coupling.T, e_hat)              # raw GEMM
-    score = np.dot(pooled[0], capsules[0])             # raw dot
-    return logits, pooled, score
 
 
 def accumulate(table, idx, rows):

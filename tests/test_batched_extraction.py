@@ -9,7 +9,7 @@ the capsule axis.
 import numpy as np
 import pytest
 
-from repro.autograd import no_grad
+from repro.autograd import Tensor, no_grad
 from repro.models import (
     ComiRecDR,
     batched_compute_interests,
@@ -66,14 +66,38 @@ class TestEquivalence:
         assert np.allclose(fast, slow, atol=1e-10)
 
 
-class TestValidation:
-    def test_rejects_capsule_normalization(self, tiny_split):
-        model = ComiRecDR(tiny_split.num_items, dim=12, num_interests=3,
-                          seed=0, routing_normalize="capsules")
-        state = model.init_user_state(0)
-        with pytest.raises(TypeError):
-            batched_compute_interests(model, [(state, [1, 2])])
+    @pytest.mark.parametrize("normalize", ["items", "capsules"])
+    def test_padded_group_matches_per_user(self, tiny_split, normalize):
+        """Mixed sequence lengths and K_u in one padded group: each
+        user's interests and the parameter gradients equal the B=1
+        per-user extraction's, under either routing normalization."""
+        def build():
+            return ComiRecDR(tiny_split.num_items, dim=12, num_interests=3,
+                             seed=0, routing_normalize=normalize)
 
+        grouped, single = build(), build()
+        jobs_g = make_jobs(grouped, np.random.default_rng(5))
+        jobs_s = make_jobs(single, np.random.default_rng(5))
+        assert len({state.num_interests for state, _ in jobs_g}) > 1
+        assert len({len(seq) for _, seq in jobs_g}) > 1
+
+        interests, capsule_mask, ks = batched_compute_interests(grouped,
+                                                                jobs_g)
+        upstream = np.random.default_rng(6).normal(size=interests.shape)
+        upstream *= capsule_mask[:, :, None]
+        (interests * Tensor(upstream)).sum().backward()
+        for b, (state, seq) in enumerate(jobs_s):
+            per_user = single.compute_interests(state, seq)
+            np.testing.assert_allclose(interests.data[b, :ks[b]],
+                                       per_user.data, rtol=0, atol=1e-12)
+            (per_user * Tensor(upstream[b, :ks[b]])).sum().backward()
+        for (name, got), (_, want) in zip(grouped.named_parameters(),
+                                          single.named_parameters()):
+            np.testing.assert_allclose(got.grad, want.grad, rtol=0,
+                                       atol=1e-12, err_msg=name)
+
+
+class TestValidation:
     def test_rejects_empty_sequence(self, model):
         state = model.init_user_state(0)
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from repro.data import NegativeSampler
 from repro.experiments import make_strategy, run_strategy
 from repro.faults import FaultPlan, SimulatedCrash, active
 from repro.incremental import TrainConfig
+from repro.lifelong import LimaRec, LimaRecModel
 from repro.models import (
     ComiRecDR,
     ComiRecSA,
@@ -82,15 +83,16 @@ class TestDispatch:
         assert supports_batched_training(twin_models("ComiRec-DR", 1)[0])
         capsules = ComiRecDR(80, dim=10, num_interests=3, seed=3,
                              routing_normalize="capsules")
-        assert not supports_batched_training(capsules)
+        assert supports_batched_training(capsules)
 
     def test_unsupported_model_falls_back_to_per_user(self, tiny_split,
                                                       monkeypatch):
-        config = fast_config(users_per_batch=4)
-        strategy = make_strategy(
-            "IMSR", "ComiRec-DR", tiny_split, config,
-            model_kwargs={"dim": 10, "num_interests": 2,
-                          "routing_normalize": "capsules"})
+        """An MSRModel with no batched extraction (LimaRec's) trains
+        through the per-user loop even with ``users_per_batch > 1``."""
+        model = LimaRecModel(tiny_split.num_items, dim=10, num_interests=2,
+                             seed=0)
+        assert not supports_batched_training(model)
+        strategy = LimaRec(model, tiny_split, fast_config(users_per_batch=4))
 
         def boom(*args, **kwargs):  # pragma: no cover - must not fire
             raise AssertionError("grouped path used for unsupported model")

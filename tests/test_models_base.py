@@ -11,7 +11,6 @@ from repro.models import (
     MODEL_REGISTRY,
     batch_sampled_softmax_loss,
     make_model,
-    sampled_softmax_loss,
 )
 from repro.nn import Adam
 
@@ -188,6 +187,22 @@ class TestModelSpecifics:
         H.sum().backward()
         assert state.sa_weights.grad is not None
 
+    def test_sa_kernel_gradients_match_finite_differences(self, rng):
+        """The SA kernel's hand-derived backward, through
+        ``compute_interests``: W1, the user's W_u and the embedding rows
+        (item 2 occurs twice, so its row accumulates)."""
+        model = ComiRecSA(num_items=6, dim=4, num_interests=3,
+                          attention_dim=5, seed=0)
+        state = model.init_user_state(0)
+        upstream = Tensor(rng.normal(size=(3, 4)))
+
+        def weighted_interests(w1, w_u, table):
+            return (model.compute_interests(state, [1, 2, 4, 2])
+                    * upstream).sum()
+
+        check_gradients(weighted_interests,
+                        [model.w1, state.sa_weights, model.item_emb.weight])
+
     def test_mind_gradient_reaches_bilinear(self):
         model = MIND(num_items=30, dim=8, num_interests=2, seed=0)
         state = model.init_user_state(0)
@@ -197,30 +212,35 @@ class TestModelSpecifics:
         assert model.item_emb.weight.grad is not None
 
 
+def one_target_loss(interests, target, negatives):
+    """Eq. 6 for a single target: the one-row case of the batch loss."""
+    return batch_sampled_softmax_loss(
+        Tensor(interests), Tensor(target[None]), Tensor(negatives[None]))
+
+
 class TestSampledSoftmax:
     def test_single_matches_manual(self, rng):
-        interests = Tensor(rng.normal(size=(3, 4)))
-        target = Tensor(rng.normal(size=4))
-        negs = Tensor(rng.normal(size=(5, 4)))
-        loss = sampled_softmax_loss(interests, target, negs).item()
+        interests = rng.normal(size=(3, 4))
+        target = rng.normal(size=4)
+        negs = rng.normal(size=(5, 4))
+        loss = one_target_loss(interests, target, negs).item()
 
         # manual
-        logits = interests.data @ target.data
+        logits = interests @ target
         beta = np.exp(logits - logits.max()); beta /= beta.sum()
-        v = beta @ interests.data
-        all_logits = np.concatenate([[v @ target.data], negs.data @ v])
+        v = beta @ interests
+        all_logits = np.concatenate([[v @ target], negs @ v])
         expected = -(all_logits[0] - np.log(np.exp(all_logits - all_logits.max()).sum()) - all_logits.max())
         assert loss == pytest.approx(expected, rel=1e-9)
 
     def test_batch_matches_mean_of_singles(self, rng):
-        interests = Tensor(rng.normal(size=(3, 4)))
+        interests = rng.normal(size=(3, 4))
         targets = rng.normal(size=(2, 4))
         negs = rng.normal(size=(2, 5, 4))
         batch = batch_sampled_softmax_loss(
-            interests, Tensor(targets), Tensor(negs)).item()
+            Tensor(interests), Tensor(targets), Tensor(negs)).item()
         singles = np.mean([
-            sampled_softmax_loss(interests, Tensor(targets[i]),
-                                 Tensor(negs[i])).item()
+            one_target_loss(interests, targets[i], negs[i]).item()
             for i in range(2)
         ])
         assert batch == pytest.approx(singles, rel=1e-9)
@@ -229,11 +249,9 @@ class TestSampledSoftmax:
         interests = rng.normal(size=(2, 4))
         target = rng.normal(size=4)
         negs = rng.normal(size=(5, 4))
-        base = sampled_softmax_loss(
-            Tensor(interests), Tensor(target), Tensor(negs)).item()
-        aligned = sampled_softmax_loss(
-            Tensor(np.vstack([target * 3, interests[1]])),
-            Tensor(target), Tensor(negs)).item()
+        base = one_target_loss(interests, target, negs).item()
+        aligned = one_target_loss(
+            np.vstack([target * 3, interests[1]]), target, negs).item()
         assert aligned < base
 
     def test_batch_gradients(self, rng):

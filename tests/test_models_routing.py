@@ -1,26 +1,27 @@
-"""Unit tests for B2I dynamic routing and the interest aggregator."""
+"""Unit tests for B2I dynamic routing, its vote softmaxes and squash,
+and the interest attention and scoring helpers."""
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.models import aggregate_interests, attention_scores, b2i_routing, score_items
-from repro.models.routing import (
-    _softmax_over_capsules,
-    _softmax_over_items,
-    squash_np,
+from repro.backend.fused import (
+    _masked_softmax_capsules,
+    _masked_softmax_items,
+    _squash_np,
 )
+from repro.models import attention_scores, b2i_routing, score_items
 
 
 class TestSquashNp:
     def test_matches_tensor_squash(self, rng):
         from repro.autograd.ops import squash
         x = rng.normal(size=(5, 8))
-        assert np.allclose(squash_np(x), squash(Tensor(x)).data)
+        assert np.allclose(_squash_np(x), squash(Tensor(x)).data)
 
     def test_norms_below_one(self, rng):
         x = rng.normal(size=(4, 6)) * 20
-        assert (np.linalg.norm(squash_np(x), axis=1) < 1.0).all()
+        assert (np.linalg.norm(_squash_np(x), axis=1) < 1.0).all()
 
 
 class TestRouting:
@@ -86,34 +87,34 @@ class TestRouting:
             b2i_routing(Tensor(rng.normal(size=(4,))), rng.normal(size=(2, 4)))
 
     def test_softmax_over_items_columns_sum_to_one(self, rng):
-        logits = rng.normal(size=(7, 3))
-        out = _softmax_over_items(logits)
-        assert np.allclose(out.sum(axis=0), 1.0)
+        logits = rng.normal(size=(2, 7, 3))
+        for mask in (None, np.arange(7) < np.array([[7], [4]])):
+            out = _masked_softmax_items(logits, mask)
+            assert np.allclose(out.sum(axis=1), 1.0)
+        assert (out[1, 4:] == 0.0).all()  # padded items get no vote
 
     def test_softmax_over_capsules_is_a_row_softmax(self, rng):
-        # N != K, so normalising over the wrong axis cannot pass
-        logits = rng.normal(size=(7, 3)) * 3.0
+        # N != K != B, so normalising over the wrong axis cannot pass
+        logits = rng.normal(size=(2, 7, 3)) * 3.0
         exp = np.exp(logits)
-        expected = exp / exp.sum(axis=1)[:, None]
-        np.testing.assert_allclose(_softmax_over_capsules(logits), expected,
+        expected = exp / exp.sum(axis=2)[:, :, None]
+        np.testing.assert_allclose(_masked_softmax_capsules(logits, None),
+                                   expected, rtol=1e-12)
+        # padded capsule columns get exactly zero weight and the real
+        # columns renormalise among themselves
+        mask = np.arange(3) < np.array([[3], [2]])
+        out = _masked_softmax_capsules(logits, mask)
+        assert (out[1, :, 2] == 0.0).all()
+        exp[1, :, 2] = 0.0
+        np.testing.assert_allclose(out, exp / exp.sum(axis=2)[:, :, None],
                                    rtol=1e-12)
 
 
 class TestAggregator:
-    def test_eq5_matches_manual(self, rng):
-        interests = rng.normal(size=(3, 4))
-        target = rng.normal(size=4)
-        logits = interests @ target
-        beta = np.exp(logits - logits.max())
-        beta /= beta.sum()
-        expected = beta @ interests
-        out = aggregate_interests(Tensor(interests), Tensor(target))
-        assert np.allclose(out.data, expected)
-
     def test_aggregation_is_convex_combination(self, rng):
         interests = rng.normal(size=(4, 6))
         target = rng.normal(size=6)
-        v = aggregate_interests(Tensor(interests), Tensor(target)).data
+        v = attention_scores(interests, target) @ interests  # Eq. 5
         # v must lie in the convex hull: its projection on each axis is
         # bounded by the min/max over interests
         assert (v <= interests.max(axis=0) + 1e-12).all()
@@ -122,8 +123,8 @@ class TestAggregator:
     def test_dominant_interest_wins(self):
         interests = np.array([[10.0, 0.0], [0.0, 10.0]])
         target = np.array([1.0, 0.0])
-        v = aggregate_interests(Tensor(interests), Tensor(target)).data
-        assert v[0] > v[1]
+        beta = attention_scores(interests, target)
+        assert beta[0] > beta[1]
 
     def test_attention_scores_sum_to_one(self, rng):
         att = attention_scores(rng.normal(size=(5, 3)), rng.normal(size=3))

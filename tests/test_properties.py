@@ -7,10 +7,10 @@ from hypothesis.extra.numpy import arrays
 from repro.autograd import Tensor
 from repro.autograd.ops import softmax, squash
 from repro.autograd.tensor import _unbroadcast
+from repro.backend.fused import _squash_np
 from repro.eval.metrics import hit_at_k, ndcg_at_k, rank_of_target
 from repro.incremental.imsr.nid import kl_from_uniform, puzzlement
 from repro.incremental.imsr.pit import orthogonal_residual, projection_matrix
-from repro.models.routing import squash_np
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False,
                           allow_infinity=False, width=64)
@@ -40,7 +40,7 @@ def test_squash_norm_strictly_below_one(x):
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_squash_np_matches_tensor_squash(x):
-    assert np.allclose(squash_np(x), squash(Tensor(x)).data, atol=1e-12)
+    assert np.allclose(_squash_np(x), squash(Tensor(x)).data, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -25,6 +25,7 @@ PACKAGES = [
     "repro.eval",
     "repro.experiments",
     "repro.persistence",
+    "repro.journal",
     "repro.stream",
     "repro.faults",
     "repro.obs",

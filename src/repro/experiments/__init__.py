@@ -1,13 +1,7 @@
 """Experiment harness: drivers for every table and figure in the paper."""
 
 from .runner import RunResult, default_config, make_strategy, run, run_repeated, run_strategy
-from .journal import (
-    JOURNAL_NAME,
-    JournalError,
-    JournalIOError,
-    SpanJournal,
-    SpanRecord,
-)
+from .journal import JOURNAL_NAME, SpanRecord
 from .reporting import (
     format_table,
     relative_improvement,
@@ -37,9 +31,6 @@ __all__ = [
     "run_repeated",
     "run_strategy",
     "JOURNAL_NAME",
-    "JournalError",
-    "JournalIOError",
-    "SpanJournal",
     "SpanRecord",
     "format_table",
     "relative_improvement",

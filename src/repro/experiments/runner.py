@@ -31,12 +31,13 @@ from .. import faults
 from ..data.schema import TemporalSplit
 from ..eval import EvalResult, average_results, evaluate_span
 from ..incremental import STRATEGY_REGISTRY, IncrementalStrategy, TrainConfig
+from ..journal import Journal, JournalError
 from ..models import make_model
 from ..obs import prof as _prof
 from ..obs import trace as obs
 from ..obs.log import get_logger
 from ..persistence import load_checkpoint, run_fingerprint, save_checkpoint
-from .journal import JournalError, SpanJournal
+from .journal import JOURNAL_NAME, SpanRecord
 
 logger = get_logger(__name__)
 
@@ -119,13 +120,8 @@ def _prepare_journal(strategy: IncrementalStrategy, checkpoint_dir,
     new journal and ``restored_span=None``."""
     directory = Path(checkpoint_dir)
     fingerprint = run_fingerprint(strategy)
-    if resume and (directory / "journal.json").exists():
-        journal = SpanJournal.load(directory)
-        if journal.fingerprint != fingerprint:
-            raise JournalError(
-                f"journal at {directory} was written by a different run "
-                f"(fingerprint {journal.fingerprint} != {fingerprint}); "
-                f"refusing to resume")
+    if resume and (directory / JOURNAL_NAME).exists():
+        journal = Journal.load(SpanRecord, directory, fingerprint)
         restored = journal.last_restorable_span()
         if restored is None:
             # nothing restorable: retrain everything, and drop the
@@ -135,32 +131,35 @@ def _prepare_journal(strategy: IncrementalStrategy, checkpoint_dir,
             journal.incidents.clear()
             journal.write()
         return journal, restored
-    journal = SpanJournal(directory, fingerprint=fingerprint,
-                          dataset=dataset_name, model=model_name,
-                          strategy=strategy.name)
+    journal = Journal(SpanRecord, directory, fingerprint=fingerprint,
+                      dataset=dataset_name, model=model_name,
+                      strategy=strategy.name)
     journal.write()
     return journal, None
 
 
-def _non_finite_sites(strategy: IncrementalStrategy) -> List[str]:
-    """Names of model parameters / user states holding NaN or inf."""
-    sites: List[str] = []
-    for name, param in strategy.model.named_parameters():
-        if not faults.all_finite(param.data):
-            sites.append(f"param/{name}")
-    for user, state in strategy.states.items():
-        if not faults.all_finite(state.interests):
-            sites.append(f"user/{user}/interests")
-        if not faults.all_finite(state.prev_interests):
-            # feeds the retention/distillation loss of the next spans
-            sites.append(f"user/{user}/prev_interests")
-        if state.sa_weights is not None and not faults.all_finite(
-                state.sa_weights.data):
-            sites.append(f"user/{user}/sa_weights")
-    return sites
+def _commit_span(strategy: IncrementalStrategy, journal: Journal,
+                 record: SpanRecord) -> None:
+    """Checkpoint the span, then journal it: an entry always points at a
+    complete checkpoint."""
+    save_checkpoint(strategy, journal.checkpoint_path(record.span),
+                    span=record.span)
+    journal.append(record)
+    obs.counter("journal.spans_committed")
+    obs.event("journal.span_committed", span_id=record.span,
+              rolled_back=record.rolled_back, checkpoint=record.checkpoint)
+    obs.sync()
+    faults.fire("span-boundary", span=record.span)
 
 
-def _rollback(strategy: IncrementalStrategy, journal: SpanJournal,
+def _record_incident(journal: Journal, span: int, kind: str, detail: object,
+                     action: str) -> None:
+    journal.record_incident(span, kind, detail, action)
+    obs.counter("journal.incidents")
+    obs.event("journal.incident", span_id=span, incident=kind, action=action)
+
+
+def _rollback(strategy: IncrementalStrategy, journal: Journal,
               span: int, kind: str, detail: object) -> None:
     """Restore the last good checkpoint and record the incident."""
     good = journal.last_restorable_span()
@@ -174,9 +173,8 @@ def _rollback(strategy: IncrementalStrategy, journal: SpanJournal,
               restored_span=good)
     logger.warning("divergence at span %d (%s): rolled back to span %d",
                    span, kind, good)
-    journal.record_incident(
-        span=span, kind=kind, detail=detail,
-        action=f"rolled-back-to-span-{good}")
+    _record_incident(journal, span, kind, detail,
+                     f"rolled-back-to-span-{good}")
 
 
 def run_strategy(
@@ -256,7 +254,7 @@ def _run_protocol(
     checkpoint_dir: Optional[Union[str, Path]],
     resume: bool,
 ) -> RunResult:
-    journal: Optional[SpanJournal] = None
+    journal: Optional[Journal] = None
     restored_span: Optional[int] = None
     if checkpoint_dir is not None:
         journal, restored_span = _prepare_journal(
@@ -275,12 +273,10 @@ def _run_protocol(
         with obs.span("pretrain"), _prof.phase("pretrain"):
             strategy.pretrain()
         if journal is not None:
-            save_checkpoint(strategy, journal.checkpoint_path(0), span=0)
-            journal.record_span(
-                0, strategy.train_times.get(0, 0.0),
-                extract_time=strategy.extract_times.get(0, 0.0))
-            obs.sync()
-            faults.fire("span-boundary", span=0)
+            _commit_span(strategy, journal, SpanRecord(
+                span=0, train_time=strategy.train_times.get(0, 0.0),
+                checkpoint=journal.checkpoint_path(0).name,
+                extract_time=strategy.extract_times.get(0, 0.0)))
     else:
         logger.info("resuming from span %d in %s", restored_span,
                     journal.directory)
@@ -316,7 +312,7 @@ def _run_protocol(
 
         rolled_back = False
         if journal is not None:
-            bad = _non_finite_sites(strategy)
+            bad = faults.non_finite_sites(strategy, strategy.states)
             if bad:
                 _rollback(strategy, journal, t, "non-finite-state", bad[:20])
                 rolled_back = True
@@ -344,11 +340,10 @@ def _run_protocol(
                 # the restored state scores non-finite too: nothing left
                 # to roll back to — record a fatal incident rather than
                 # journal the span as a restorable 'good' state
-                journal.record_incident(
-                    span=t, kind="non-finite-metrics",
-                    detail={"hr": repr(result.hr),
-                            "ndcg": repr(result.ndcg)},
-                    action="fatal")
+                _record_incident(
+                    journal, t, "non-finite-metrics",
+                    {"hr": repr(result.hr), "ndcg": repr(result.ndcg)},
+                    "fatal")
                 raise RuntimeError(
                     f"span {t} metrics are non-finite even after rolling "
                     f"back to the last good checkpoint; aborting the run "
@@ -362,16 +357,15 @@ def _run_protocol(
         interest_counts.append(float(np.mean(list(counts.values()))))
 
         if journal is not None:
-            save_checkpoint(strategy, journal.checkpoint_path(t), span=t)
-            journal.record_span(
-                t, strategy.train_times.get(t, 0.0), result,
-                interest_mean=interest_counts[-1], counts=counts,
+            _commit_span(strategy, journal, SpanRecord(
+                span=t, train_time=strategy.train_times.get(t, 0.0),
+                checkpoint=journal.checkpoint_path(t).name,
+                hr=result.hr, ndcg=result.ndcg, num_cases=result.num_cases,
+                per_user=dict(result.per_user),
+                interest_mean=interest_counts[-1], counts=dict(counts),
                 rolled_back=rolled_back,
                 extract_time=strategy.extract_times.get(t, 0.0),
-                eval_time=eval_times[t],
-            )
-            obs.sync()
-            faults.fire("span-boundary", span=t)
+                eval_time=eval_times[t]))
 
     # mean per-user inference time on the last evaluated span, through
     # the batched scoring path the evaluator uses

@@ -50,12 +50,16 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
+                    List, Optional, Tuple, Union)
 
 import numpy as np
 
 from .contracts import shape_contract
 from .obs import trace as obs
+
+if TYPE_CHECKING:
+    from .incremental.strategy import IncrementalStrategy
 
 __all__ = [
     "FaultPlan",
@@ -67,6 +71,7 @@ __all__ = [
     "fire",
     "active_plans",
     "all_finite",
+    "non_finite_sites",
     "nan_poison",
     "flip_one_byte",
 ]
@@ -335,6 +340,30 @@ def fire(point: str, **info: Any) -> Dict[str, Any]:
 def all_finite(arr: np.ndarray) -> bool:
     """True when every element of a float array is finite."""
     return bool(np.isfinite(arr).all())
+
+
+def non_finite_sites(strategy: "IncrementalStrategy",
+                     users: Iterable[int]) -> List[str]:
+    """Names of the model parameters and of ``users``' stored states that
+    hold NaN or inf: ``param/<name>`` and ``user/<u>/<array>`` for the
+    interests, the previous interests (the retention and distillation
+    target of the next steps) and the SA weights.  The span runner scans
+    every user after a span, the stream the interval's users at a commit.
+    """
+    sites = [f"param/{name}"
+             for name, param in strategy.model.named_parameters()
+             if not all_finite(param.data)]
+    for user in sorted(set(users)):
+        state = strategy.states.get(user)
+        if state is None:
+            continue
+        sa = None if state.sa_weights is None else state.sa_weights.data
+        for name, arr in (("interests", state.interests),
+                          ("prev_interests", state.prev_interests),
+                          ("sa_weights", sa)):
+            if arr is not None and not all_finite(arr):
+                sites.append(f"user/{user}/{name}")
+    return sites
 
 
 @shape_contract("(...S) f, _ -> (...S) f")

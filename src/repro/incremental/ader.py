@@ -80,7 +80,7 @@ class ADER(IncrementalStrategy):
     def load_extra_state(self, arrays):
         arrays = dict(arrays)
         pool = arrays.pop("pool", None)
-        if pool is None:  # pre-extra-state (v1) checkpoint
+        if pool is None:  # another strategy's checkpoint, e.g. FT's
             raise ValueError(
                 "checkpoint has no replay pool for ADER; resuming from it "
                 "would train a different algorithm")

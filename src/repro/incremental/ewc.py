@@ -58,7 +58,7 @@ class EWC(IncrementalStrategy):
         anchors = {k[len("anchor/"):]: _capture(arrays.pop(k).copy())
                    for k in list(arrays) if k.startswith("anchor/")}
         super().load_extra_state(arrays)
-        # a pre-extra-state (v1) checkpoint legitimately has neither —
+        # another strategy's checkpoint legitimately has neither, and
         # EWC saved before any _estimate_fisher() call has empty dicts
         self.fisher = fisher
         self.anchors = anchors

@@ -90,7 +90,7 @@ class IMSR(IncrementalStrategy):
         arrays = dict(arrays)
         logs = arrays.pop("imsr_logs", None)
         super().load_extra_state(arrays)
-        if logs is not None:  # absent from v1 checkpoints; diagnostics only
+        if logs is not None:  # absent from other strategies' checkpoints
             payload = decode_json_state(logs)
             self.expansion_log = {int(t): [int(u) for u in users]
                                   for t, users in payload["expansion"].items()}

@@ -49,7 +49,7 @@ class IMSRReplay(IMSR):
     def load_extra_state(self, arrays):
         arrays = dict(arrays)
         pool = arrays.pop("pool", None)
-        if pool is None:  # pre-extra-state (v1) checkpoint
+        if pool is None:  # another strategy's checkpoint, e.g. IMSR's
             raise ValueError(
                 "checkpoint has no replay pool for IMSR+Replay; resuming "
                 "from it would train a different algorithm")

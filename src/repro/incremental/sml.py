@@ -51,7 +51,7 @@ class SML(IncrementalStrategy):
         arrays = dict(arrays)
         alphas = arrays.pop("sml_alphas", None)
         super().load_extra_state(arrays)
-        if alphas is not None:  # absent from v1 checkpoints; diagnostics only
+        if alphas is not None:  # absent from other strategies' checkpoints
             self.chosen_alphas = {int(t): float(a)
                                   for t, a in decode_json_state(alphas).items()}
 

@@ -31,9 +31,10 @@ Format v3 gives the guarantees a long-lived service needs:
   additionally re-hashes every array against the manifest, and
   :func:`load_checkpoint` always verifies *before* mutating any state,
   so a corrupt file can never half-restore a strategy;
-* **compatibility** — v2 archives (one zip member per array) and v1
-  archives written before the manifest existed still load (zip CRCs are
-  a v1 file's only integrity check).
+* **one format** — only v3 loads.  A v1 archive (a ``meta`` member, no
+  manifest or trailer) or a v2 archive (one zip member per array) is
+  refused with an error that names its version, before any state is
+  touched; nothing has written either since v3.
 
 Example
 -------
@@ -198,10 +199,6 @@ def _fsync_directory(directory: Path) -> None:
         os.close(dir_fd)
 
 
-def _array_digest(arr: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
-
-
 def run_fingerprint(strategy: IncrementalStrategy) -> str:
     """Stable hash of everything that must match for a resume to be
     valid: strategy, model architecture, and the training config."""
@@ -328,12 +325,12 @@ def _split_trailer(data: bytes):
 def _read_archive(path: Path, verify: bool = True):
     """Load (manifest, arrays) fully into memory, validating integrity.
 
-    Returns the parsed manifest/meta dict and a ``{name: ndarray}`` map
-    of owned, writable arrays under their logical names.  Every zip
-    member is read eagerly so zip CRC checks run here, and (for v2/v3)
-    every SHA-256 is compared against the manifest — all *before* any
-    caller mutates strategy state.  Raises :class:`CheckpointError` on
-    any corruption, truncation, or malformed metadata.
+    Returns the parsed manifest and a ``{name: ndarray}`` map of owned,
+    writable arrays under their logical names.  The zip members are read
+    eagerly so zip CRC checks run here, and with ``verify`` every
+    SHA-256 is compared against the manifest — all *before* any caller
+    mutates strategy state.  Raises :class:`CheckpointError` on any
+    corruption, truncation, malformed metadata or other format version.
     """
     if not path.exists():
         raise CheckpointError(f"checkpoint {path} does not exist")
@@ -351,63 +348,38 @@ def _read_archive(path: Path, verify: bool = True):
                 f"the file is corrupt or truncated")
     try:
         with np.load(io.BytesIO(archive_bytes), allow_pickle=False) as archive:
-            names = list(archive.files)
-            if "manifest" in names:
-                meta = json.loads(bytes(archive["manifest"].tobytes()).decode("utf-8"))
-            elif "meta" in names:  # format v1
-                meta = json.loads(bytes(archive["meta"].tobytes()).decode("utf-8"))
-            else:
+            names = sorted(archive.files)
+            # format v1 named its manifest 'meta'; it is read only to name
+            # the version it is refused by
+            header = "manifest" if "manifest" in names else "meta"
+            if header not in names:
                 raise CheckpointError(
-                    f"checkpoint {path} has no manifest/meta entry")
-            arrays = {
-                name: archive[name]
-                for name in names
-                if name not in ("manifest", "meta")
-            }
+                    f"checkpoint {path} has no manifest entry")
+            meta = json.loads(bytes(archive[header].tobytes()).decode("utf-8"))
+            version = meta.get("version")
+            if version != _FORMAT_VERSION:
+                raise CheckpointError(
+                    f"unsupported checkpoint version {version!r} in {path}: "
+                    f"only format v{_FORMAT_VERSION} loads; start the run "
+                    f"afresh")
+            if names != ["blob", "manifest"]:
+                raise CheckpointError(
+                    f"checkpoint {path} holds zip members {names[:5]}; "
+                    f"format v3 has exactly 'manifest' and 'blob'")
+            blob = archive["blob"]
     except CheckpointError:
         raise
     except (OSError, ValueError, KeyError, EOFError, NotImplementedError,
             zipfile.BadZipFile, zlib.error) as exc:
         # the open-ended exception set zipfile/np.load raise on mangled
-        # input; v2/v3 files never get here corrupt (whole-file hash above)
+        # input; sealed files never get here corrupt (whole-file hash above)
         raise CheckpointError(
             f"checkpoint {path} is corrupt or truncated: {exc}") from exc
-
-    version = meta.get("version")
-    if version not in (1, 2, _FORMAT_VERSION):
-        raise CheckpointError(
-            f"unsupported checkpoint version {version!r} in {path}")
-    if version != 1 and declared_digest is None:
+    if declared_digest is None:
         raise CheckpointError(
             f"checkpoint {path} declares format v{version} but its "
             f"whole-file integrity trailer is missing or mangled")
-    if version == _FORMAT_VERSION:
-        if sorted(names) != ["blob", "manifest"]:
-            raise CheckpointError(
-                f"checkpoint {path} holds zip members {sorted(names)[:5]}; "
-                f"format v3 has exactly 'manifest' and 'blob'")
-        arrays = _unpack_blob(path, meta.get("arrays", {}), arrays["blob"],
-                              verify)
-    elif verify and version == 2:
-        declared = meta.get("arrays", {})
-        if set(declared) != set(arrays):
-            missing = sorted(set(declared) - set(arrays))
-            extra = sorted(set(arrays) - set(declared))
-            raise CheckpointError(
-                f"checkpoint {path} array set disagrees with its manifest "
-                f"(missing={missing[:5]}, undeclared={extra[:5]})")
-        for name, entry in declared.items():
-            arr = arrays[name]
-            if list(arr.shape) != entry["shape"] or str(arr.dtype) != entry["dtype"]:
-                raise CheckpointError(
-                    f"checkpoint {path} array {name!r} has shape/dtype "
-                    f"{arr.shape}/{arr.dtype}, manifest says "
-                    f"{tuple(entry['shape'])}/{entry['dtype']}")
-            if _array_digest(arr) != entry["sha256"]:
-                raise CheckpointError(
-                    f"checkpoint {path} array {name!r} fails its SHA-256 "
-                    f"check — the file was corrupted after writing")
-    return meta, arrays
+    return meta, _unpack_blob(path, meta.get("arrays", {}), blob, verify)
 
 
 def _unpack_blob(path: Path, declared: Dict[str, dict], blob: np.ndarray,
@@ -452,10 +424,8 @@ def _unpack_blob(path: Path, declared: Dict[str, dict], blob: np.ndarray,
 def verify_checkpoint(path: PathLike) -> Dict[str, object]:
     """Fully validate a checkpoint's integrity; returns its manifest.
 
-    For formats v2 and v3 every array is re-hashed against the manifest;
-    any single flipped byte or truncation raises :class:`CheckpointError`.
-    Format v1 archives only get the zip-level CRC check (every array is
-    still read in full, so torn files are rejected).
+    Every array is re-hashed against the manifest; any single flipped
+    byte or truncation raises :class:`CheckpointError`.
     """
     path = normalize_checkpoint_path(path)
     meta, _ = _read_archive(path, verify=True)
@@ -545,8 +515,8 @@ def load_checkpoint(strategy: IncrementalStrategy, path: PathLike,
 
     # -------- all validation passed: apply ---------------------------- #
     # extra strategy state first: a strategy that rejects it (unknown
-    # keys, or a v1 archive missing a replay pool) must fail before any
-    # base state is mutated
+    # keys, or another strategy's checkpoint without a replay pool) must
+    # fail before any base state is mutated
     extra = {k[len("extra/"):]: arrays[k]
              for k in arrays if k.startswith("extra/")}
     try:
@@ -583,9 +553,7 @@ def load_checkpoint(strategy: IncrementalStrategy, path: PathLike,
             arrays[f"user/{user}/prev_interests"].copy())
         state.created_span = _capture(arrays[f"user/{user}/created_span"].copy())
         state.n_existing = int(arrays[f"user/{user}/n_existing"][0])
-        expanded_key = f"user/{user}/expanded"
-        if expanded_key in arrays:  # absent from older archives
-            state.expanded_this_span = bool(arrays[expanded_key][0])
+        state.expanded_this_span = bool(arrays[f"user/{user}/expanded"][0])
         sa_key = f"user/{user}/sa_weights"
         if sa_key in arrays:
             state.sa_weights = Parameter(arrays[sa_key].copy())

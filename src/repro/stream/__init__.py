@@ -17,14 +17,7 @@ from .events import (
     read_quarantine,
     validate_event,
 )
-from .journal import (
-    STREAM_JOURNAL_NAME,
-    IntervalRecord,
-    StreamJournal,
-    StreamJournalError,
-    StreamJournalIOError,
-    chain_extend,
-)
+from .journal import STREAM_JOURNAL_NAME, IntervalRecord, chain_extend
 from .pipeline import (
     MODE_DEGRADED,
     MODE_HEALTHY,
@@ -41,10 +34,7 @@ __all__ = [
     "events_from_split",
     "Quarantine",
     "read_quarantine",
-    "StreamJournal",
     "IntervalRecord",
-    "StreamJournalError",
-    "StreamJournalIOError",
     "STREAM_JOURNAL_NAME",
     "chain_extend",
     "StreamConfig",

@@ -53,6 +53,7 @@ import numpy as np
 from .. import faults
 from ..eval.metrics import hit_at_k, ndcg_at_k, rank_of_target
 from ..incremental.strategy import IncrementalStrategy, UserPayload
+from ..journal import Journal
 # the learn step clips inside IncrementalStrategy._step; clip_grad_norm
 # stays importable here because benchmarks/e2e/layers.py patches this
 # name when it times the stream
@@ -68,12 +69,7 @@ from .events import (
     events_from_split,
     validate_event,
 )
-from .journal import (
-    IntervalRecord,
-    StreamJournal,
-    StreamJournalError,
-    chain_extend,
-)
+from .journal import IntervalRecord, chain_extend
 
 PathLike = Union[str, Path]
 
@@ -204,7 +200,7 @@ class _Pipeline:
             allow_new_items=config.grow_items,
         )
 
-        self.journal: Optional[StreamJournal] = None
+        self.journal: Optional[Journal] = None
         self.quarantine: Optional[Quarantine] = None
         self.resumed_from: Optional[int] = None
 
@@ -293,20 +289,16 @@ class _Pipeline:
     # ------------------------------------------------------------------ #
     def _prepare(self) -> None:
         if self.directory is not None and self.resume:
-            journal = StreamJournal.load(self.directory)
-            fingerprint = run_fingerprint(self.strategy)
-            if journal.fingerprint != fingerprint:
-                raise StreamJournalError(
-                    f"stream journal fingerprint {journal.fingerprint} "
-                    f"does not match this strategy/config ({fingerprint})")
-            restored = journal.last_restorable_interval()
+            journal = Journal.load(IntervalRecord, self.directory,
+                                   run_fingerprint(self.strategy))
+            restored = journal.last_restorable()
             if restored is not None:
                 self._restore_run(journal, restored)
                 return
             obs.event("stream.restart", reason="no-restorable-interval")
         self._fresh_run()
 
-    def _restore_run(self, journal: StreamJournal, restored: int) -> None:
+    def _restore_run(self, journal: Journal, restored: int) -> None:
         blob = journal.state_for(restored)
         model = self.strategy.model
         # pre-grow to the journaled catalog so the checkpoint's (grown)
@@ -338,12 +330,16 @@ class _Pipeline:
 
     def _fresh_run(self) -> None:
         if self.directory is not None:
-            self.journal = StreamJournal(
-                self.directory,
+            self.journal = Journal(
+                IntervalRecord, self.directory,
                 fingerprint=run_fingerprint(self.strategy),
                 dataset=self.dataset_name, model=self.model_name,
                 strategy=self.strategy.name)
-            # a fresh run in a reused directory starts a fresh quarantine
+            # a fresh run in a reused directory replaces the old journal
+            # and quarantine before pretraining, so a crash before its
+            # first commit restarts on resume instead of restoring the
+            # older run
+            self._commit_with_retry(self.journal.write)
             self.quarantine = Quarantine(self.directory / QUARANTINE_NAME,
                                          resume_offset=0)
         with obs.span("stream.pretrain"):
@@ -587,25 +583,9 @@ class _Pipeline:
             return None
         return float(np.mean([n for _, n in self.window]))
 
-    def _non_finite_sites(self, users: Sequence[int]) -> List[str]:
-        sites = []
-        for name, param in self.strategy.model.named_parameters():
-            if not faults.all_finite(param.data):
-                sites.append(f"param/{name}")
-        for user in sorted(set(users)):
-            state = self.strategy.states.get(user)
-            if state is None:
-                continue
-            if not faults.all_finite(state.interests):
-                sites.append(f"user/{user}/interests")
-            if state.sa_weights is not None and \
-                    not faults.all_finite(state.sa_weights.data):
-                sites.append(f"user/{user}/sa_weights")
-        return sites
-
     def _check_anomalies(self) -> None:
-        sites = self._non_finite_sites(
-            [e["user"] for e in self._interval_events])
+        sites = faults.non_finite_sites(
+            self.strategy, [e["user"] for e in self._interval_events])
         if sites:
             self._degrade("non-finite-state", detail=sites[:10],
                           rollback=True)
@@ -662,7 +642,8 @@ class _Pipeline:
                 self.chain = chain_extend(self.chain, entry["seq"])
                 self.counters["trained"] += 1
                 retrained += 1
-        sites = self._non_finite_sites([e["user"] for e in self.pending])
+        sites = faults.non_finite_sites(
+            self.strategy, [e["user"] for e in self.pending])
         if not sites:
             self.mode = MODE_HEALTHY
             self.counters["recoveries"] += 1
@@ -718,13 +699,8 @@ class _Pipeline:
             self._commit_with_retry(
                 lambda: save_checkpoint(self.strategy, path,
                                         span=self.interval))
-            # journal mutation happens exactly once; only the (atomic,
-            # idempotent) write retries — retrying the mutation would
-            # shift the state/prev_state pair twice
-            self.journal.intervals[record.interval] = record
-            self.journal.prev_state = self.journal.state
-            self.journal.state = self._state_blob()
-            self._commit_with_retry(self.journal.write)
+            self.journal.append(record, self._state_blob(),
+                                retry=self._commit_with_retry)
             obs.counter("stream.intervals_committed")
             obs.event("stream.committed", interval=record.interval,
                       offset=record.offset, trained=record.trained,
@@ -738,17 +714,14 @@ class _Pipeline:
         self.interval += 1
 
     def _record_incident(self, kind: str, detail, action: str) -> None:
-        if self.journal is None:
-            return
-        self.journal.incidents.append({
-            "interval": int(self.interval), "kind": kind,
-            "detail": detail, "action": action})
-        self._commit_with_retry(self.journal.write)
+        if self.journal is not None:
+            self.journal.record_incident(int(self.interval), kind, detail,
+                                         action, retry=self._commit_with_retry)
 
     def _commit_with_retry(self, write) -> None:
         """Run a commit write, retrying transient IO errors with seeded
         exponential backoff.  Corruption errors (``CheckpointError``,
-        ``StreamJournalError`` — ``ValueError``s) and simulated crashes
+        ``JournalError`` — ``ValueError``s) and simulated crashes
         propagate: retrying cannot fix them."""
         for attempt in range(self.config.max_retries + 1):
             try:

@@ -13,13 +13,13 @@ import pytest
 
 from repro.experiments import (
     JOURNAL_NAME,
-    JournalError,
-    SpanJournal,
+    SpanRecord,
     make_strategy,
     run_strategy,
 )
 from repro.faults import Fault, FaultPlan, SimulatedCrash, active, flip_one_byte
 from repro.incremental import TrainConfig
+from repro.journal import Journal, JournalError
 
 
 def fast_config(**overrides):
@@ -74,7 +74,7 @@ class TestJournaledRun:
         assert (ckdir / JOURNAL_NAME).exists()
         for span in range(tiny_split.T):  # span 0 = pretraining
             assert (ckdir / f"span-{span:03d}.npz").exists()
-        journal = SpanJournal.load(ckdir)
+        journal = Journal.load(SpanRecord, ckdir)
         assert sorted(journal.spans) == list(range(tiny_split.T))
         assert journal.spans[0].hr is None  # pretraining has no evaluation
         assert journal.last_restorable_span() == tiny_split.T - 1
@@ -100,7 +100,7 @@ class TestCrashResumeEquivalence:
                 run_strategy(build(tiny_split), tiny_split, "tiny",
                              "ComiRec-DR", checkpoint_dir=tmp_path)
         # the journal holds exactly the spans committed before the crash
-        journal = SpanJournal.load(tmp_path)
+        journal = Journal.load(SpanRecord, tmp_path)
         assert sorted(journal.spans) == list(range(boundary + 1))
         assert journal.last_restorable_span() == boundary
 
@@ -198,9 +198,9 @@ class TestResumeSafety:
         for offset in offsets:
             flip_one_byte(path, offset=offset)
             with pytest.raises(JournalError):
-                SpanJournal.load(tmp_path)
+                Journal.load(SpanRecord, tmp_path)
             flip_one_byte(path, offset=offset)  # restore
-        SpanJournal.load(tmp_path)  # restored file loads again
+        Journal.load(SpanRecord, tmp_path)  # restored file loads again
 
     def test_changed_digit_that_still_parses_is_detected(self, journaled,
                                                           tmp_path):
@@ -212,14 +212,14 @@ class TestResumeSafety:
         data[at] = ord("8") if data[at] == ord("9") else data[at] + 1
         (tmp_path / JOURNAL_NAME).write_bytes(bytes(data))
         with pytest.raises(JournalError, match="SHA-256"):
-            SpanJournal.load(tmp_path)
+            Journal.load(SpanRecord, tmp_path)
 
     def test_version_1_journal_is_refused_by_version(self, tmp_path):
         (tmp_path / JOURNAL_NAME).write_text(json.dumps(
             {"version": 1, "fingerprint": "fp", "spans": {},
              "incidents": []}))
         with pytest.raises(JournalError, match="version 1"):
-            SpanJournal.load(tmp_path)
+            Journal.load(SpanRecord, tmp_path)
 
     def test_corrupt_newest_checkpoint_falls_back_and_retrains(
             self, tiny_split, journaled, baseline):
@@ -230,7 +230,7 @@ class TestResumeSafety:
         target = ckdir / "span-003.npz"
         offset = flip_one_byte(target, rng=np.random.default_rng(11))
         try:
-            journal = SpanJournal.load(ckdir)
+            journal = Journal.load(SpanRecord, ckdir)
             assert journal.last_restorable_span() == 2
             resumed = run_strategy(build(tiny_split), tiny_split, "tiny",
                                    "ComiRec-DR", checkpoint_dir=ckdir,
@@ -261,7 +261,7 @@ class TestResumeSafety:
         assert result.resumed_spans == []
         assert result.incidents == []
         assert_metric_identical(result, baseline)
-        journal = SpanJournal.load(tmp_path)
+        journal = Journal.load(SpanRecord, tmp_path)
         assert journal.incidents == []
 
 
@@ -279,7 +279,7 @@ class TestDivergenceRollback:
         assert incident["action"] == "rolled-back-to-span-1"
         assert incident["detail"]  # names the poisoned site
 
-        journal = SpanJournal.load(tmp_path)
+        journal = Journal.load(SpanRecord, tmp_path)
         assert journal.spans[2].rolled_back
         assert not journal.spans[3].rolled_back
         assert journal.incidents == result.incidents
@@ -337,7 +337,7 @@ class TestDivergenceRollback:
             run_strategy(build(tiny_split), tiny_split, "tiny", "ComiRec-DR",
                          checkpoint_dir=tmp_path)
 
-        journal = SpanJournal.load(tmp_path)
+        journal = Journal.load(SpanRecord, tmp_path)
         # rollback incident first, then the fatal one; span 1 never
         # entered the journal as a restorable state
         assert [i["action"] for i in journal.incidents] == \

@@ -17,7 +17,6 @@ from repro.persistence import (
     checkpoint_info,
     load_checkpoint,
     normalize_checkpoint_path,
-    run_fingerprint,
     save_checkpoint,
     verify_checkpoint,
 )
@@ -230,7 +229,8 @@ class TestPathNormalization:
 
 
 class TestIntegrity:
-    """Format v2: any flipped byte or truncation must be detected."""
+    """Format v3: any flipped byte or truncation must be detected, and
+    no other format version loads."""
 
     @pytest.fixture()
     def saved(self, tiny_split, fast_config, tmp_path):
@@ -286,13 +286,46 @@ class TestIntegrity:
             verify_checkpoint(tmp_path / "nope.npz")
 
     def test_v2_without_trailer_is_rejected(self, saved, tmp_path):
-        """Stripping the whole-file trailer must not downgrade a v2 file
-        to unchecked reads."""
+        """Stripping the whole-file trailer must not downgrade a file to
+        unchecked reads."""
         _, path = saved
         stripped = tmp_path / "stripped.npz"
         stripped.write_bytes(path.read_bytes()[:-90])
         with pytest.raises(CheckpointError, match="trailer"):
             verify_checkpoint(stripped)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_retired_format_refused_by_version(self, tiny_split, fast_config,
+                                               tmp_path, version):
+        """Format v1 (a ``meta`` member, no trailer) and format v2 (one
+        deflated member per array, sealed) are refused by version before
+        the strategy is touched."""
+        strategy = build(tiny_split, fast_config)
+        strategy.pretrain()
+        members = {name: arr.copy()
+                   for name, arr in _collect_arrays(strategy).items()}
+        header = {"version": version, "strategy": strategy.name,
+                  "model_family": strategy.model.family,
+                  "users": sorted(strategy.states)}
+        members["meta" if version == 1 else "manifest"] = np.frombuffer(
+            json.dumps(header).encode("utf-8"), dtype=np.uint8)
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, **members)
+        archive = buffer.getvalue()
+        path = tmp_path / f"v{version}.npz"
+        path.write_bytes(archive if version == 1 else with_trailer(archive))
+
+        fresh = build(tiny_split, fast_config)
+        snapshot = fresh.model.state_dict()
+        interests = {u: s.interests.copy() for u, s in fresh.states.items()}
+        with pytest.raises(CheckpointError, match=f"version {version}"):
+            verify_checkpoint(path)
+        with pytest.raises(CheckpointError, match=f"version {version}"):
+            load_checkpoint(fresh, path)
+        for name, value in fresh.model.state_dict().items():
+            assert np.array_equal(value, snapshot[name]), name
+        for user, state in fresh.states.items():
+            assert np.array_equal(state.interests, interests[user]), user
 
     def test_direct_np_load_still_works(self, saved):
         """The trailer lives after the zip EOCD, so plain ``np.load`` on
@@ -444,131 +477,18 @@ class TestExtraState:
 
     def test_v1_checkpoint_refused_for_pooled_strategy(
             self, tiny_split, fast_config, tmp_path):
-        """A v1 archive carries no replay pool; silently resuming ADER
-        from one would train a different algorithm, so it must raise."""
-        strategy = build(tiny_split, fast_config, name="ADER")
-        strategy.pretrain()
-        path = tmp_path / "v1.npz"
-        TestV1Compatibility().write_v1(strategy, path)
+        """A checkpoint without a replay pool (FT's; formerly a v1
+        archive) must not resume ADER: that would train a different
+        algorithm, so the load raises before any state is touched."""
+        ft = build(tiny_split, fast_config, name="FT")
+        ft.pretrain()
+        path = save_checkpoint(ft, tmp_path / "ft.npz")
         fresh = build(tiny_split, fast_config, name="ADER")
+        snapshot = fresh.model.state_dict()
         with pytest.raises(CheckpointError, match="replay pool"):
             load_checkpoint(fresh, path)
-
-
-class TestV1Compatibility:
-    def write_v1(self, strategy, path):
-        """Re-create the pre-manifest archive layout byte-for-byte."""
-        arrays = {}
-        for name, param in strategy.model.named_parameters():
-            arrays[f"param/{name}"] = param.data
-        meta = {
-            "version": 1,
-            "strategy": strategy.name,
-            "model_family": strategy.model.family,
-            "users": sorted(strategy.states),
-        }
-        for user, state in strategy.states.items():
-            arrays[f"user/{user}/interests"] = state.interests
-            arrays[f"user/{user}/prev_interests"] = state.prev_interests
-            arrays[f"user/{user}/created_span"] = state.created_span
-            arrays[f"user/{user}/n_existing"] = np.array([state.n_existing])
-            if state.sa_weights is not None:
-                arrays[f"user/{user}/sa_weights"] = state.sa_weights.data
-        arrays["meta"] = np.frombuffer(
-            json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-        np.savez_compressed(str(path), **arrays)
-
-    def write_v2(self, strategy, path):
-        """Re-create the v2 layout: one deflated member per array."""
-        arrays = _collect_arrays(strategy)
-        manifest = {
-            "version": 2,
-            "strategy": strategy.name,
-            "model_family": strategy.model.family,
-            "users": sorted(strategy.states),
-            "span": None,
-            "fingerprint": run_fingerprint(strategy),
-            "rng": {name: gen.bit_generator.state
-                    for name, gen in strategy.random_generators().items()},
-            "arrays": {
-                name: {"sha256": hashlib.sha256(
-                           np.ascontiguousarray(arr).tobytes()).hexdigest(),
-                       "shape": list(arr.shape), "dtype": str(arr.dtype)}
-                for name, arr in arrays.items()
-            },
-        }
-        payload = dict(arrays)
-        payload["manifest"] = np.frombuffer(
-            json.dumps(manifest).encode("utf-8"), dtype=np.uint8)
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **payload)
-        path.write_bytes(with_trailer(buffer.getvalue()))
-
-    def test_v1_archive_still_loads(self, tiny_split, fast_config, tmp_path):
-        strategy = build(tiny_split, fast_config)
-        strategy.pretrain()
-        path = tmp_path / "v1.npz"
-        self.write_v1(strategy, path)
-
-        fresh = build(tiny_split, fast_config)
-        meta = load_checkpoint(fresh, path)
-        assert meta["version"] == 1
-        for (name, a), (_, b) in zip(strategy.model.named_parameters(),
-                                     fresh.model.named_parameters()):
-            assert np.allclose(a.data, b.data), name
-        for user, state in strategy.states.items():
-            assert np.allclose(state.interests,
-                               fresh.states[user].interests)
-
-    def test_v1_verify_reads_every_array(self, tiny_split, fast_config,
-                                         tmp_path):
-        strategy = build(tiny_split, fast_config)
-        path = tmp_path / "v1.npz"
-        self.write_v1(strategy, path)
-        assert verify_checkpoint(path)["version"] == 1
-        # a torn v1 file is still rejected (zip CRC / EOF checks)
-        torn = tmp_path / "torn-v1.npz"
-        torn.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-        with pytest.raises(CheckpointError):
-            verify_checkpoint(torn)
-
-    def test_v2_archive_verifies_and_loads_exactly(self, tiny_split,
-                                                   fast_config, tmp_path):
-        strategy = build(tiny_split, fast_config, model="ComiRec-SA")
-        strategy.pretrain()
-        strategy.train_span(1)
-        path = tmp_path / "v2.npz"
-        self.write_v2(strategy, path)
-        assert verify_checkpoint(path)["version"] == 2
-
-        fresh = build(tiny_split, fast_config, model="ComiRec-SA")
-        assert load_checkpoint(fresh, path)["version"] == 2
-        for (name, a), (_, b) in zip(strategy.model.named_parameters(),
-                                     fresh.model.named_parameters()):
-            assert np.array_equal(a.data, b.data), name
-        for user, state in strategy.states.items():
-            restored = fresh.states[user]
-            assert np.array_equal(state.interests, restored.interests)
-            assert np.array_equal(state.prev_interests,
-                                  restored.prev_interests)
-            assert np.array_equal(state.created_span, restored.created_span)
-            assert np.array_equal(state.sa_weights.data,
-                                  restored.sa_weights.data)
-            assert state.n_existing == restored.n_existing
-        for name, gen in strategy.random_generators().items():
-            assert (fresh.random_generators()[name].bit_generator.state
-                    == gen.bit_generator.state)
-
-    def test_v2_flipped_byte_is_rejected(self, tiny_split, fast_config,
-                                         tmp_path):
-        strategy = build(tiny_split, fast_config)
-        path = tmp_path / "v2.npz"
-        self.write_v2(strategy, path)
-        offset = flip_one_byte(path, rng=np.random.default_rng(3))
-        with pytest.raises(CheckpointError):
-            verify_checkpoint(path)
-        flip_one_byte(path, offset=offset)
-        verify_checkpoint(path)  # XOR twice restores the v2 file
+        for name, value in fresh.model.state_dict().items():
+            assert np.array_equal(value, snapshot[name]), name
 
 
 class TestIOFaults:

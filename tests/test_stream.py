@@ -13,14 +13,13 @@ from repro.data.sampler import NegativeSampler
 from repro.experiments import make_strategy
 from repro.faults import flip_one_byte
 from repro.incremental import TrainConfig
+from repro.journal import Journal, JournalError
 from repro.nn import Adam, Embedding, Parameter, SparseAdam
 from repro.stream import (
     GateConfig,
     IntervalRecord,
     Quarantine,
     StreamEvent,
-    StreamJournal,
-    StreamJournalError,
     chain_extend,
     events_from_split,
     read_quarantine,
@@ -166,8 +165,8 @@ class TestQuarantine:
 
 
 def make_journal(tmp_path, intervals=3):
-    journal = StreamJournal(tmp_path, fingerprint="fp", dataset="tiny",
-                            model="ComiRec-DR", strategy="FT")
+    journal = Journal(IntervalRecord, tmp_path, fingerprint="fp",
+                      dataset="tiny", model="ComiRec-DR", strategy="FT")
     chain = ""
     for i in range(intervals):
         chain = chain_extend(chain, i)
@@ -187,7 +186,7 @@ def make_journal(tmp_path, intervals=3):
 class TestStreamJournal:
     def test_round_trip(self, tmp_path):
         written = make_journal(tmp_path)
-        loaded = StreamJournal.load(tmp_path)
+        loaded = Journal.load(IntervalRecord, tmp_path)
         assert loaded.fingerprint == "fp"
         assert sorted(loaded.intervals) == [0, 1, 2]
         assert loaded.intervals[2].chain == written.intervals[2].chain
@@ -203,8 +202,8 @@ class TestStreamJournal:
         assert chain_extend(chain_extend("", 1), 2) == ab
 
     def test_missing_journal_raises(self, tmp_path):
-        with pytest.raises(StreamJournalError, match="no stream journal"):
-            StreamJournal.load(tmp_path)
+        with pytest.raises(JournalError, match="no stream journal"):
+            Journal.load(IntervalRecord, tmp_path)
 
     def test_every_byte_flip_is_detected(self, tmp_path):
         """Property test: flip ONE byte anywhere — load must refuse."""
@@ -215,20 +214,20 @@ class TestStreamJournal:
                           *map(int, rng.integers(size, size=40))})
         for offset in offsets:
             flip_one_byte(journal.path, offset=offset)
-            with pytest.raises(StreamJournalError):
-                StreamJournal.load(tmp_path)
+            with pytest.raises(JournalError):
+                Journal.load(IntervalRecord, tmp_path)
             flip_one_byte(journal.path, offset=offset)  # restore
-        StreamJournal.load(tmp_path)  # restored file loads again
+        Journal.load(IntervalRecord, tmp_path)  # restored file loads again
 
     def test_truncation_is_detected(self, tmp_path):
         journal = make_journal(tmp_path)
         data = journal.path.read_bytes()
         for keep in (0, 1, len(data) // 2, len(data) - 1):
             journal.path.write_bytes(data[:keep])
-            with pytest.raises(StreamJournalError):
-                StreamJournal.load(tmp_path)
+            with pytest.raises(JournalError):
+                Journal.load(IntervalRecord, tmp_path)
         journal.path.write_bytes(data)
-        StreamJournal.load(tmp_path)
+        Journal.load(IntervalRecord, tmp_path)
 
     def test_state_for_retains_latest_two_only(self, tmp_path):
         journal = make_journal(tmp_path, intervals=3)

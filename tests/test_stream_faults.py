@@ -22,13 +22,13 @@ import pytest
 from repro.experiments import make_strategy
 from repro.faults import Fault, FaultPlan, SimulatedCrash, active, flip_one_byte
 from repro.incremental import TrainConfig
+from repro.journal import Journal, JournalError
 from repro.stream import (
     MODE_DEGRADED,
     MODE_HEALTHY,
     QUARANTINE_NAME,
+    IntervalRecord,
     StreamConfig,
-    StreamJournal,
-    StreamJournalError,
     events_from_split,
     read_quarantine,
     run_stream,
@@ -165,6 +165,30 @@ class TestFaultMatrix:
         for _, param in strategy.model.named_parameters():
             assert np.isfinite(param.data).all()
 
+    def test_poisoned_prev_interests_degrade_then_recover(
+            self, tiny_split, tmp_path, baseline):
+        """The commit scan covers the interval users' previous interests,
+        the retention target of their next steps, as the span runner's
+        scan does."""
+        base, _ = baseline
+        user = stream_events(tiny_split)[40].user
+
+        def poison(strategy=None, **info):
+            state = strategy.states[user]
+            state.prev_interests = np.full_like(state.interests, np.nan)
+
+        plan = FaultPlan()
+        plan.faults.append(Fault("stream-trained", "call", match={"seq": 40},
+                                 payload=poison))
+        result, strategy = self.run_with(tiny_split, tmp_path, plan)
+        assert result.degraded_spells == 1
+        assert result.recoveries == 1
+        assert result.mode == MODE_HEALTHY
+        assert result.trained == base.trained
+        assert np.isfinite(strategy.states[user].prev_interests).all()
+        incident = Journal.load(IntervalRecord, tmp_path / "run").incidents[0]
+        assert f"user/{user}/prev_interests" in incident["detail"]
+
     def test_recall_floor_demotes_to_score_only(self, tiny_split, tmp_path):
         config = StreamConfig(checkpoint_every=16, backoff_base=0.0,
                               min_window_recall=1.0, warmup=8,
@@ -286,7 +310,7 @@ class TestCrashResume:
         with active(plan), pytest.raises(SimulatedCrash):
             run_stream(strategy, events=stream_events(tiny_split),
                        config=STREAM_CONFIG, checkpoint_dir=tmp_path / "run")
-        journal = StreamJournal.load(tmp_path / "run")
+        journal = Journal.load(IntervalRecord, tmp_path / "run")
         newest = max(journal.intervals)
         flip_one_byte(journal.checkpoint_path(newest))
 
@@ -310,7 +334,7 @@ class TestCrashResume:
                        config=STREAM_CONFIG, checkpoint_dir=tmp_path / "run")
         flip_one_byte(tmp_path / "run" / "stream-journal.json")
         resumed = build(tiny_split)
-        with pytest.raises(StreamJournalError):
+        with pytest.raises(JournalError):
             run_stream(resumed, events=stream_events(tiny_split),
                        config=STREAM_CONFIG,
                        checkpoint_dir=tmp_path / "run", resume=True)
@@ -320,10 +344,38 @@ class TestCrashResume:
         run_stream(strategy, events=stream_events(tiny_split)[:20],
                    config=STREAM_CONFIG, checkpoint_dir=tmp_path / "run")
         other = build(tiny_split, "EWC")  # different strategy, same dir
-        with pytest.raises(StreamJournalError, match="fingerprint"):
+        with pytest.raises(JournalError, match="fingerprint"):
             run_stream(other, events=stream_events(tiny_split)[:20],
                        config=STREAM_CONFIG,
                        checkpoint_dir=tmp_path / "run", resume=True)
+
+    def test_crash_before_first_commit_never_resumes_an_older_run(
+            self, tiny_split, tmp_path):
+        """A fresh run writes its empty journal before pretraining, so a
+        crash before its first commit makes resume restart it, not
+        restore the finished run an earlier job left in the directory."""
+        events = stream_events(tiny_split)
+        straight = build(tiny_split)
+        base = run_stream(straight, events=events[:30], config=STREAM_CONFIG,
+                          checkpoint_dir=tmp_path / "straight")
+        with active(FaultPlan().malform_event(5)):
+            run_stream(build(tiny_split), events=events, config=STREAM_CONFIG,
+                       checkpoint_dir=tmp_path / "run")
+        crash = FaultPlan()
+        crash.faults.append(Fault("train-step", "crash", at=0))
+        with active(crash), pytest.raises(SimulatedCrash):
+            run_stream(build(tiny_split), events=events[:30],
+                       config=STREAM_CONFIG, checkpoint_dir=tmp_path / "run")
+        resumed = build(tiny_split)
+        result = run_stream(resumed, events=events[:30], config=STREAM_CONFIG,
+                            checkpoint_dir=tmp_path / "run", resume=True)
+        assert result.resumed_from is None
+        assert result.events == base.events
+        assert result.chain == base.chain
+        assert result.trained == base.trained
+        assert state_hash(resumed) == state_hash(straight)
+        assert result.quarantined == {}
+        assert read_quarantine(tmp_path / "run" / QUARANTINE_NAME) == []
 
     def test_quarantine_survives_crash_without_double_records(
             self, tiny_split, tmp_path):

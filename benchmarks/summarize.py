@@ -2,23 +2,18 @@
 """Summarize a benchmark run's shape checks into a markdown table.
 
 Usage:  python benchmarks/summarize.py bench_output.txt
-            [--lint lint.json] [--contracts src]
-            [--robustness robustness.json] [--obs BENCH_obs.json]
-            [--sanitize BENCH_sanitize.json] [--stream BENCH_stream.json]
+            [--lint lint.json] [--robustness robustness.json]
+            [--obs BENCH_obs.json] [--stream BENCH_stream.json]
 
 Parses the ``===== <title> =====`` sections and the ``N/M shape checks
 hold`` lines the bench harness prints, and emits the markdown summary
 that EXPERIMENTS.md embeds.  With ``--lint``, the JSON report from
 ``python -m repro.analysis src --format json`` is appended as an extra
 row so lint counts are tracked next to the reproduction metrics; with
-``--contracts``, per-package shape-contract coverage (decorated public
-functions / total public functions) is appended as well; with
 ``--robustness``, the checkpoint/resume latency report emitted by
 ``benchmarks/robustness_probe.py`` is folded in as a row group; with
 ``--obs``, the instrumentation-overhead report emitted by
 ``benchmarks/obs_probe.py`` is folded in the same way; with
-``--sanitize``, the write-guard overhead report emitted by
-``benchmarks/sanitize_probe.py`` is folded in alongside it; with
 ``--stream``, the streaming-pipeline throughput/quarantine/recovery
 report emitted by ``benchmarks/stream_probe.py`` is folded in too.
 
@@ -29,7 +24,6 @@ workloads, and CI compares a change against its merge-base with
 
 from __future__ import annotations
 
-import ast
 import json
 import re
 import sys
@@ -86,46 +80,6 @@ def parse_lint(text: str) -> Tuple[str, str]:
     return ("static analysis", f"{cell} ({tracked})")
 
 
-def _is_contract_decorator(node: ast.expr) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    name = func.id if isinstance(func, ast.Name) else (
-        func.attr if isinstance(func, ast.Attribute) else None)
-    return name == "shape_contract"
-
-
-def contract_coverage(src_root: Path) -> List[Tuple[str, int, int]]:
-    """Per-package (package, annotated, public-function total) triples.
-
-    Counts module- and class-level ``def``s whose names are public (no
-    leading underscore); a function counts as annotated when it carries
-    a ``@shape_contract(...)`` decorator.  Packages are the direct
-    subpackages of ``repro`` (top-level modules roll up under ``repro``).
-    """
-    repro = src_root / "repro"
-    tallies: dict[str, List[int]] = {}
-    for path in sorted(repro.rglob("*.py")):
-        rel = path.relative_to(repro)
-        package = ("repro." + rel.parts[0]
-                   if len(rel.parts) > 1 else "repro")
-        try:
-            tree = ast.parse(path.read_text())
-        except SyntaxError:
-            continue
-        counts = tallies.setdefault(package, [0, 0])
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if node.name.startswith("_"):
-                continue
-            counts[1] += 1
-            if any(_is_contract_decorator(d) for d in node.decorator_list):
-                counts[0] += 1
-    return [(pkg, annotated, total)
-            for pkg, (annotated, total) in sorted(tallies.items())]
-
-
 def parse_robustness(text: str) -> List[Tuple[str, str]]:
     """Turn a ``robustness_probe.py`` JSON report into table rows."""
     payload = json.loads(text)
@@ -178,26 +132,6 @@ def parse_obs(text: str) -> List[Tuple[str, str]]:
     return rows
 
 
-def parse_sanitize(text: str) -> List[Tuple[str, str]]:
-    """Turn a ``sanitize_probe.py`` JSON report into table rows."""
-    payload = json.loads(text)
-    if payload.get("tool") != "repro.sanitize":
-        raise ValueError(
-            f"not a sanitize report (tool={payload.get('tool')!r})")
-    rows = [
-        ("disabled guards",
-         f"capture {payload.get('capture_ns', 0):.0f} ns × "
-         f"{payload.get('capture_calls', 0)}, flag "
-         f"{payload.get('flag_test_ns', 0):.0f} ns × "
-         f"{payload.get('graph_builds', 0)} = "
-         f"{payload.get('disabled_overhead_pct', 0):.3f}% of run "
-         f"(budget {payload.get('budget_pct', 0):.0f}%)"),
-        ("enforced run",
-         f"{payload.get('enforced_overhead_pct', 0):+.1f}% wall clock"),
-    ]
-    return rows
-
-
 def parse_stream(text: str) -> List[Tuple[str, str]]:
     """Turn a ``stream_probe.py`` JSON report into table rows."""
     payload = json.loads(text)
@@ -232,10 +166,8 @@ def parse_stream(text: str) -> List[Tuple[str, str]]:
 
 def to_markdown(sections: List[Tuple[str, int, int]],
                 lint: Optional[Tuple[str, str]] = None,
-                coverage: Optional[List[Tuple[str, int, int]]] = None,
                 robustness: Optional[List[Tuple[str, str]]] = None,
                 obs: Optional[List[Tuple[str, str]]] = None,
-                sanitize: Optional[List[Tuple[str, str]]] = None,
                 stream: Optional[List[Tuple[str, str]]] = None) -> str:
     lines = ["| experiment | shape checks |", "|---|---|"]
     passed_total = checks_total = 0
@@ -246,24 +178,12 @@ def to_markdown(sections: List[Tuple[str, int, int]],
     lines.append(f"| **overall** | **{passed_total}/{checks_total}** |")
     if lint is not None:
         lines.append(f"| {lint[0]} | {lint[1]} |")
-    if coverage:
-        annotated_total = fn_total = 0
-        for pkg, annotated, total in coverage:
-            lines.append(
-                f"| contracts: {pkg} | {annotated}/{total} annotated |")
-            annotated_total += annotated
-            fn_total += total
-        lines.append(f"| **contracts overall** | "
-                     f"**{annotated_total}/{fn_total} annotated** |")
     if robustness:
         for label, cell in robustness:
             lines.append(f"| robustness: {label} | {cell} |")
     if obs:
         for label, cell in obs:
             lines.append(f"| obs: {label} | {cell} |")
-    if sanitize:
-        for label, cell in sanitize:
-            lines.append(f"| sanitize: {label} | {cell} |")
     if stream:
         for label, cell in stream:
             lines.append(f"| stream: {label} | {cell} |")
@@ -286,13 +206,10 @@ def _take_flag(args: List[str], flag: str) -> Optional[str]:
 def main(argv: List[str]) -> int:
     args = list(argv[1:])
     lint_path = _take_flag(args, "--lint")
-    contracts_root = _take_flag(args, "--contracts")
     robustness_path = _take_flag(args, "--robustness")
     obs_path = _take_flag(args, "--obs")
-    sanitize_path = _take_flag(args, "--sanitize")
     stream_path = _take_flag(args, "--stream")
-    if (lint_path == "" or contracts_root == "" or robustness_path == ""
-            or obs_path == "" or sanitize_path == ""
+    if (lint_path == "" or robustness_path == "" or obs_path == ""
             or stream_path == "" or len(args) != 1):
         print(__doc__)
         return 2
@@ -309,13 +226,6 @@ def main(argv: List[str]) -> int:
             print(f"error: could not read lint report {lint_path}: {exc}",
                   file=sys.stderr)
             return 2
-    coverage = None
-    if contracts_root is not None:
-        root = Path(contracts_root)
-        if not (root / "repro").is_dir():
-            print(f"error: {root} has no repro/ package", file=sys.stderr)
-            return 2
-        coverage = contract_coverage(root)
     robustness = None
     if robustness_path is not None:
         try:
@@ -332,14 +242,6 @@ def main(argv: List[str]) -> int:
             print(f"error: could not read obs report {obs_path}: {exc}",
                   file=sys.stderr)
             return 2
-    sanitize = None
-    if sanitize_path is not None:
-        try:
-            sanitize = parse_sanitize(Path(sanitize_path).read_text())
-        except (OSError, ValueError) as exc:
-            print(f"error: could not read sanitize report "
-                  f"{sanitize_path}: {exc}", file=sys.stderr)
-            return 2
     stream = None
     if stream_path is not None:
         try:
@@ -348,9 +250,8 @@ def main(argv: List[str]) -> int:
             print(f"error: could not read stream report "
                   f"{stream_path}: {exc}", file=sys.stderr)
             return 2
-    print(to_markdown(sections, lint=lint, coverage=coverage,
-                      robustness=robustness, obs=obs,
-                      sanitize=sanitize, stream=stream))
+    print(to_markdown(sections, lint=lint, robustness=robustness, obs=obs,
+                      stream=stream))
     return 0
 
 

@@ -6,7 +6,6 @@ section, so ``summarize.py`` tracks lint health alongside the
 reproduction metrics.
 """
 
-import importlib.util
 import json
 from pathlib import Path
 
@@ -15,11 +14,6 @@ from conftest import report
 from repro.analysis import Baseline, analyze_paths, discover_baseline, render_json
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_summarize", Path(__file__).resolve().parent / "summarize.py")
-summarize = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(summarize)
 
 
 def test_lint_src_tree():
@@ -46,23 +40,3 @@ def test_lint_src_tree():
 
     assert payload["exit_code"] == 0
     assert summary["files_scanned"] >= 50
-
-
-def test_contract_coverage_src_tree():
-    coverage = summarize.contract_coverage(SRC)
-    annotated = sum(a for _, a, _ in coverage)
-    covered_pkgs = sorted(pkg for pkg, a, _ in coverage if a > 0)
-
-    body = "\n".join(f"{pkg}: {a}/{t} public functions annotated"
-                     for pkg, a, t in coverage)
-    checks = [
-        {"check": ">=25 public functions carry shape contracts",
-         "holds": "yes" if annotated >= 25 else "no"},
-        {"check": "all five modelling packages covered",
-         "holds": "yes" if {"repro.autograd", "repro.nn", "repro.models",
-                            "repro.incremental", "repro.eval"}
-         <= set(covered_pkgs) else "no"},
-    ]
-    report("Shape-contract coverage over src/", body, checks)
-
-    assert annotated >= 25

@@ -31,7 +31,7 @@ on its first call.
 import importlib
 
 from . import autograd, backend, data, eval, experiments, incremental, lifelong, models, nn
-from . import faults, obs, persistence, sanitize
+from . import faults, obs, persistence
 
 __version__ = "1.0.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "persistence",
     "faults",
     "obs",
-    "sanitize",
     "__version__",
 ]
 

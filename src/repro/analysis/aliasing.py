@@ -10,8 +10,8 @@ tracks which local names *may alias* a Tensor buffer —
 * ``.T`` and the view-producing methods (``reshape``, ``ravel``,
   ``squeeze``, ``swapaxes``, ``transpose``, ``diagonal``),
 * the np-level equivalents (``np.asarray``, ``np.ravel``, …),
-* inside a ``@shape_contract`` function, every argument except ``out``
-  (each is the caller's array, so a write to it leaks back out),
+* every parameter annotated ``np.ndarray`` except ``out`` (each is the
+  caller's array, so a write to it leaks back out),
 
 — and flags three sinks: in-place mutation of an alias (RA601),
 mutating library calls on an alias (RA602: ``.fill``/``.sort``/
@@ -37,7 +37,7 @@ import ast
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .core import SEVERITY_ERROR, Finding, ModuleContext, Rule, register
-from .rules import dotted_name, is_buffer_access, terminal_name
+from .rules import dotted_name, is_buffer_access
 
 #: ndarray methods that return a view of the receiver
 _VIEW_METHODS = frozenset({
@@ -52,6 +52,7 @@ _NP_VIEW_FUNCS = frozenset({
 #: ndarray methods that mutate the receiver in place
 _MUTATING_METHODS = frozenset({"fill", "sort", "partition", "put", "itemset"})
 _NP_MODULE_NAMES = ("np", "numpy")
+_NDARRAY_NAMES = ("np.ndarray", "numpy.ndarray")
 
 Sink = Tuple[str, ast.AST, str]
 
@@ -281,18 +282,15 @@ class _AliasTracker:
             self._bind(target.value, None)
 
 
-def _contract_arguments(fn: ast.AST) -> List[str]:
-    """Input parameters of a ``@shape_contract`` function (else none).
+def _array_arguments(fn: ast.AST) -> List[str]:
+    """Parameters of ``fn`` annotated ``np.ndarray``.
 
     ``out`` is left out: by numpy convention it is the caller's output
     buffer, which the function exists to write into.
     """
-    if not any(isinstance(dec, ast.Call)
-               and terminal_name(dec.func) == "shape_contract"
-               for dec in fn.decorator_list):
-        return []
     params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
-    return [a.arg for a in params if a.arg not in ("self", "cls", "out")]
+    return [a.arg for a in params
+            if a.arg != "out" and dotted_name(a.annotation) in _NDARRAY_NAMES]
 
 
 def alias_findings(ctx: ModuleContext) -> List[Sink]:
@@ -304,11 +302,11 @@ def alias_findings(ctx: ModuleContext) -> List[Sink]:
     for node in ast.walk(ctx.tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             tracker = _AliasTracker(sink, substrate)
-            # a contract declares inputs -> outputs: its arguments are the
-            # caller's arrays, so an in-place write to one leaks back out
-            for name in _contract_arguments(node):
-                tracker.env[name] = (f"the caller's '{name}' (a "
-                                     f"@shape_contract argument)")
+            # an array argument is the caller's array, so an in-place
+            # write to one leaks back out
+            for name in _array_arguments(node):
+                tracker.env[name] = (f"the caller's '{name}' (an "
+                                     f"np.ndarray argument)")
             tracker.run(node.body)
     return sink
 
@@ -330,7 +328,7 @@ class AliasedBufferMutation(_AliasRule):
     name = "aliased-buffer-mutation"
     severity = SEVERITY_ERROR
     summary = ("in-place mutation (+=, [...] =) of a local value that may "
-               "alias Tensor.data/.grad or a @shape_contract argument; take "
+               "alias Tensor.data/.grad or an np.ndarray argument; take "
                "a .copy() before mutating")
 
 

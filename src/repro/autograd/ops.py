@@ -12,7 +12,6 @@ from typing import Union
 
 import numpy as np
 
-from ..contracts import shape_contract
 from .tensor import Tensor
 
 TensorLike = Union[Tensor, np.ndarray, float, list]
@@ -22,7 +21,6 @@ def _t(x: TensorLike) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-@shape_contract("(...S) f -> (...S) f")
 def softmax(x: TensorLike, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
     x = _t(x)
@@ -31,7 +29,6 @@ def softmax(x: TensorLike, axis: int = -1) -> Tensor:
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
-@shape_contract("(...S) f -> (...S) f")
 def log_softmax(x: TensorLike, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
     x = _t(x)
@@ -59,7 +56,6 @@ def log(x: TensorLike) -> Tensor:
     return _t(x).log()
 
 
-@shape_contract("(...S) f -> (...S) f")
 def squash(x: TensorLike, axis: int = -1, eps: float = 1e-9) -> Tensor:
     """Capsule squash nonlinearity (Sabour et al., 2017).
 
@@ -76,7 +72,6 @@ def squash(x: TensorLike, axis: int = -1, eps: float = 1e-9) -> Tensor:
     return x * scale
 
 
-@shape_contract("(...S) f, (...S) f -> () f")
 def binary_cross_entropy(pred: Tensor, target: Tensor, eps: float = 1e-9) -> Tensor:
     """Mean binary cross-entropy between probabilities ``pred`` and ``target``.
 
@@ -93,7 +88,6 @@ def binary_cross_entropy(pred: Tensor, target: Tensor, eps: float = 1e-9) -> Ten
     return loss.mean()
 
 
-@shape_contract("(...S) f, (...S) f -> () f")
 def cross_entropy_with_soft_targets(logits: Tensor, soft_targets: Tensor, axis: int = -1) -> Tensor:
     """Mean cross-entropy ``-sum(p_target * log_softmax(logits))``.
 
@@ -105,14 +99,12 @@ def cross_entropy_with_soft_targets(logits: Tensor, soft_targets: Tensor, axis: 
     return per_example.mean()
 
 
-@shape_contract("(...S) f, (...S) f -> () f")
 def mse(a: Tensor, b: Tensor) -> Tensor:
     """Mean squared error; backs the DIR (distance-based retainer) ablation."""
     diff = a - b
     return (diff * diff).mean()
 
 
-@shape_contract("(N, D) f, (N, D) f -> (N) f")
 def dot_rows(a: Tensor, b: Tensor) -> Tensor:
     """Row-wise dot products of two (n, d) tensors -> (n,)."""
     return (a * b).sum(axis=-1)

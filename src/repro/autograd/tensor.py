@@ -26,7 +26,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .. import backend as _backend
-from .. import sanitize as _sanitize
 from ..obs import prof as _prof
 
 ArrayLike = Union[float, int, list, tuple, np.ndarray, "Tensor"]
@@ -88,7 +87,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward_fns", "_parents",
-                 "_stamp", "__weakref__")
+                 "__weakref__")
     __array_priority__ = 100  # make numpy defer to our __radd__ etc.
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False):
@@ -99,9 +98,6 @@ class Tensor:
         # list of (parent, fn) where fn maps d(out) -> d(parent)
         self._backward_fns: List[Tuple["Tensor", Callable[[np.ndarray], np.ndarray]]] = []
         self._parents: Tuple["Tensor", ...] = ()
-        # sanitizer version stamp of self.data, taken when this tensor
-        # first feeds a tracked op; verified and cleared by backward()
-        self._stamp = None
         mem = _prof._MEM
         if mem is not None:
             mem.track(self)
@@ -148,7 +144,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-        self._stamp = None
 
     # ------------------------------------------------------------------ #
     # graph building
@@ -169,10 +164,6 @@ class Tensor:
         if track:
             out._backward_fns = [(p, fn) for p, fn in parents if p.requires_grad]
             out._parents = tuple(p for p, _ in out._backward_fns)
-            if _sanitize._enabled:
-                for p in out._parents:
-                    if p._stamp is None:
-                        p._stamp = _sanitize.buffer_stamp(p.data)
         return out
 
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
@@ -211,18 +202,6 @@ class Tensor:
                         topo.append(current)
 
         build(self)
-
-        if _sanitize._enabled:
-            for node in topo:
-                if node._stamp is not None and \
-                        node._stamp != _sanitize.buffer_stamp(node.data):
-                    raise _sanitize.SanitizeViolation(
-                        f"Tensor buffer (shape {node.data.shape}) was mutated "
-                        f"in place between forward and backward; copy before "
-                        f"mutating, or mutate under no_grad before the graph "
-                        f"is built")
-        for node in topo:
-            node._stamp = None
 
         hooks = _prof._AUTOGRAD
         if hooks is not None:

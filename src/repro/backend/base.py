@@ -17,8 +17,6 @@ from typing import Tuple
 
 import numpy as np
 
-from ..contracts import shape_contract
-
 
 class Backend:
     """Abstract compute backend.  Subclasses set the two attributes.
@@ -35,13 +33,11 @@ class Backend:
     name: str = "abstract"
     compute_dtype: np.dtype = np.dtype(np.float64)
 
-    @shape_contract("(N, D) f, _, (...I, D) f -> _")
     def scatter_add(self, out: np.ndarray, indices: np.ndarray,
                     updates: np.ndarray) -> None:
         """In-place ``out[indices] += updates`` with repeat accumulation."""
         np.add.at(out, indices, updates)
 
-    @shape_contract("(N, D) f, _, (...I, D) f -> (R) i, (R, D) f")
     def segment_sum(self, table: np.ndarray, indices: np.ndarray,
                     updates: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The rows a scatter into ``table`` would touch, and their sums.

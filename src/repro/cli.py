@@ -19,8 +19,6 @@ Commands
 ``lint [ARGS...]``
     Run the repository's static-analysis rules (:mod:`repro.analysis`);
     the arguments go to ``python -m repro.analysis`` unchanged.
-``contracts list``
-    Show every registered ``@shape_contract`` (:mod:`repro.contracts`).
 ``trace summarize DIR``
     Render the spans, decision events, and metrics of a trace written
     with ``run --trace-dir`` (:mod:`repro.obs`); ``--json`` emits the
@@ -124,12 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("lint", add_help=False,
                    help="run the static-analysis rules (`repro lint "
                         "--help` lists the analyzer's options)")
-
-    p_contracts = sub.add_parser(
-        "contracts", help="inspect the shape-contract registry")
-    contracts_sub = p_contracts.add_subparsers(dest="contracts_command",
-                                               required=True)
-    contracts_sub.add_parser("list", help="print every registered contract")
 
     p_trace = sub.add_parser("trace", help="inspect an observability trace")
     trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
@@ -316,27 +308,6 @@ def cmd_checkpoint_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_contracts(args: argparse.Namespace) -> int:
-    from .contracts import checking_enabled, load_annotated, registry_rows
-
-    if args.contracts_command == "list":
-        load_annotated()
-        rows = registry_rows()
-        if not rows:
-            print("no registered contracts")
-            return 0
-        width_mod = max(len(m) for m, _, _ in rows)
-        width_fn = max(len(q) for _, q, _ in rows)
-        for module, qualname, spec in rows:
-            print(f"{module:<{width_mod}}  {qualname:<{width_fn}}  {spec}")
-        state = "on" if checking_enabled() else "off"
-        print(f"{len(rows)} contract(s); runtime enforcement is {state} "
-              f"(REPRO_CHECK_SHAPES / repro.contracts.enforce)")
-        return 0
-    raise AssertionError(
-        f"unhandled contracts command {args.contracts_command!r}")
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     import json
 
@@ -493,8 +464,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return cmd_experiment(args)
     if args.command == "checkpoint-info":
         return cmd_checkpoint_info(args)
-    if args.command == "contracts":
-        return cmd_contracts(args)
     if args.command == "trace":
         return cmd_trace(args)
     if args.command == "stream":

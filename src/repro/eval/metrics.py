@@ -6,10 +6,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..contracts import shape_contract
 
-
-@shape_contract("(N) f, (), _ -> () i")
 def rank_of_target(scores: np.ndarray, target: int,
                    exclude: Optional[Sequence[int]] = None) -> int:
     """0-based rank of ``target`` under descending ``scores``.
@@ -30,13 +27,11 @@ def rank_of_target(scores: np.ndarray, target: int,
     return int(np.count_nonzero(scores[mask] >= target_score))
 
 
-@shape_contract("(), () -> () f")
 def hit_at_k(rank: int, k: int = 20) -> float:
     """1.0 if the 0-based ``rank`` falls inside the top-``k`` else 0.0."""
     return 1.0 if rank < k else 0.0
 
 
-@shape_contract("(), () -> () f")
 def ndcg_at_k(rank: int, k: int = 20) -> float:
     """NDCG@k with a single relevant item: ``1 / log2(rank + 2)`` if hit."""
     if rank >= k:
@@ -44,7 +39,6 @@ def ndcg_at_k(rank: int, k: int = 20) -> float:
     return 1.0 / np.log2(rank + 2.0)
 
 
-@shape_contract("(N) f, (), _, _ -> (), ()")
 def metrics_at_k(scores: np.ndarray, target: int, k: int = 20,
                  exclude: Optional[Sequence[int]] = None) -> tuple:
     """Convenience: ``(hit@k, ndcg@k)`` for one test instance."""
@@ -58,7 +52,6 @@ def metrics_at_k(scores: np.ndarray, target: int, k: int = 20,
 _RANK_CHUNK_ELEMENTS = 4_000_000
 
 
-@shape_contract("(N) f, (M) i, _ -> (M) i")
 def ranks_of_targets(scores: np.ndarray, targets: Sequence[int],
                      exclude: Optional[Sequence[int]] = None) -> np.ndarray:
     """Vectorized :func:`rank_of_target` for many targets of one user.
@@ -96,7 +89,6 @@ def ranks_of_targets(scores: np.ndarray, targets: Sequence[int],
     return ranks
 
 
-@shape_contract("(U, N) f, (M) i, (M) i -> (M) i")
 def ranks_of_user_targets(score_matrix: np.ndarray, case_users: np.ndarray,
                           case_items: np.ndarray) -> np.ndarray:
     """Ranks for a flat list of (user row, target item) test cases.
@@ -125,7 +117,6 @@ def ranks_of_user_targets(score_matrix: np.ndarray, case_users: np.ndarray,
     return ranks
 
 
-@shape_contract("(M) i, _ -> (M) f, (M) f")
 def metrics_from_ranks(ranks: np.ndarray, k: int = 20) -> tuple:
     """Vectorized ``(hits, ndcgs)`` for an array of 0-based ranks.
 

@@ -55,7 +55,6 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
 
 import numpy as np
 
-from .contracts import shape_contract
 from .obs import trace as obs
 
 if TYPE_CHECKING:
@@ -336,7 +335,6 @@ def fire(point: str, **info: Any) -> Dict[str, Any]:
 # ---------------------------------------------------------------------- #
 # array/file corruption helpers (used by the plan and the test suite)
 # ---------------------------------------------------------------------- #
-@shape_contract("(...S) f -> () b")
 def all_finite(arr: np.ndarray) -> bool:
     """True when every element of a float array is finite."""
     return bool(np.isfinite(arr).all())
@@ -366,7 +364,6 @@ def non_finite_sites(strategy: "IncrementalStrategy",
     return sites
 
 
-@shape_contract("(...S) f, _ -> (...S) f")
 def nan_poison(arr: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Copy of ``arr`` with one seeded-random element replaced by NaN."""
     out = arr.astype(np.float64, copy=True)

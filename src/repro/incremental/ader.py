@@ -20,7 +20,6 @@ import numpy as np
 
 from ..autograd import Tensor
 from ..models.base import MSRModel, UserState
-from ..sanitize import capture as _capture
 from .imsr.eir import sigmoid_distillation_loss
 from .strategy import (
     IncrementalStrategy,
@@ -74,7 +73,7 @@ class ADER(IncrementalStrategy):
 
     def extra_state(self):
         state = super().extra_state()
-        state["pool"] = _capture(encode_pool(self.pool))
+        state["pool"] = encode_pool(self.pool)
         return state
 
     def load_extra_state(self, arrays):

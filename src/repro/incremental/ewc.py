@@ -23,7 +23,6 @@ import numpy as np
 
 from ..autograd import Tensor
 from ..models.base import MSRModel, UserState
-from ..sanitize import capture as _capture
 from .strategy import IncrementalStrategy, TrainConfig, UserPayload, build_payloads
 
 
@@ -53,9 +52,9 @@ class EWC(IncrementalStrategy):
 
     def load_extra_state(self, arrays):
         arrays = dict(arrays)
-        fisher = {k[len("fisher/"):]: _capture(arrays.pop(k).copy())
+        fisher = {k[len("fisher/"):]: arrays.pop(k).copy()
                   for k in list(arrays) if k.startswith("fisher/")}
-        anchors = {k[len("anchor/"):]: _capture(arrays.pop(k).copy())
+        anchors = {k[len("anchor/"):]: arrays.pop(k).copy()
                    for k in list(arrays) if k.startswith("anchor/")}
         super().load_extra_state(arrays)
         # another strategy's checkpoint legitimately has neither, and
@@ -100,11 +99,10 @@ class EWC(IncrementalStrategy):
         for name in sorted(accum):
             new = accum[name] / count
             if name in self.fisher:  # running average across spans
-                self.fisher[name] = _capture(0.5 * (self.fisher[name] + new))
+                self.fisher[name] = 0.5 * (self.fisher[name] + new)
             else:
-                self.fisher[name] = _capture(new)
-        self.anchors = {name: _capture(arr)
-                        for name, arr in sorted(self.model.state_dict().items())}
+                self.fisher[name] = new
+        self.anchors = dict(sorted(self.model.state_dict().items()))
 
     def _penalty(self) -> Optional[Tensor]:
         """The EWC quadratic penalty over the shared parameters."""

@@ -20,10 +20,8 @@ import numpy as np
 
 from ...autograd import Tensor
 from ...autograd.ops import binary_cross_entropy, mse, sigmoid
-from ...contracts import shape_contract
 
 
-@shape_contract("(K, D) f, (Kp, D) f, (M, D) f, () -> () f")
 def sigmoid_distillation_loss(
     interests: Tensor,
     prev_interests: np.ndarray,
@@ -54,7 +52,6 @@ def sigmoid_distillation_loss(
     return binary_cross_entropy(sigmoid(student_logits), teacher)
 
 
-@shape_contract("(K, D) f, (Kp, D) f -> () f")
 def euclidean_retention_loss(
     interests: Tensor,
     prev_interests: np.ndarray,

@@ -25,7 +25,6 @@ import numpy as np
 from ...autograd import Tensor
 from ...models.base import MSRModel, UserState
 from ...obs import trace as obs
-from ...sanitize import capture as _capture
 from ..strategy import (
     IncrementalStrategy,
     TrainConfig,
@@ -78,12 +77,12 @@ class IMSR(IncrementalStrategy):
     # ------------------------------------------------------------------ #
     def extra_state(self):
         state = super().extra_state()
-        state["imsr_logs"] = _capture(encode_json_state({
+        state["imsr_logs"] = encode_json_state({
             "expansion": {str(t): [int(u) for u in users]
                           for t, users in self.expansion_log.items()},
             "trim": {str(t): {str(u): int(c) for u, c in per_user.items()}
                      for t, per_user in self.trim_log.items()},
-        }))
+        })
         return state
 
     def load_extra_state(self, arrays):

@@ -27,10 +27,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from ...contracts import shape_contract
 
-
-@shape_contract("(N, D) f, (K, D) f -> (N) f")
 def kl_from_uniform(item_embs: np.ndarray, interests: np.ndarray) -> np.ndarray:
     """Eq. 12: per-item ``KL(uniform ‖ p(h|e_i))`` of the interest posterior."""
     if interests.shape[0] == 0:
@@ -43,7 +40,6 @@ def kl_from_uniform(item_embs: np.ndarray, interests: np.ndarray) -> np.ndarray:
     return logsumexp - mean_logit - np.log(k)
 
 
-@shape_contract("(N, D) f, (K, D) f -> (N) f")
 def puzzlement(item_embs: np.ndarray, interests: np.ndarray) -> np.ndarray:
     """Per-item puzzlement ``exp(Eq. 13) = exp(−KL)`` in [0, 1].
 
@@ -58,13 +54,11 @@ def puzzlement(item_embs: np.ndarray, interests: np.ndarray) -> np.ndarray:
     return np.exp(-kl)
 
 
-@shape_contract("(N, D) f, (K, D) f -> ()")
 def mean_puzzlement(item_embs: np.ndarray, interests: np.ndarray) -> float:
     """Average puzzlement of a user's items (the quantity in Eq. 14)."""
     return float(puzzlement(item_embs, interests).mean())
 
 
-@shape_contract("(N, D) f, (K, D) f, () -> () b")
 def detect_new_interests(item_embs: np.ndarray, interests: np.ndarray,
                          c1: float) -> bool:
     """Eq. 14: should this user receive new interest capsules?"""

@@ -22,10 +22,8 @@ from typing import Tuple
 import numpy as np
 
 from ...autograd import Tensor, concat
-from ...contracts import shape_contract
 
 
-@shape_contract("(K, D) f -> (D, D) f")
 def projection_matrix(existing: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the row-span of ``existing`` ((K, d)).
 
@@ -43,7 +41,6 @@ def projection_matrix(existing: np.ndarray) -> np.ndarray:
     return basis.T @ basis
 
 
-@shape_contract("(N, D) f, (K, D) f -> (N, D) f")
 def orthogonal_residual(new: np.ndarray, existing: np.ndarray) -> np.ndarray:
     """Eq. 16 applied: the component of each new vector orthogonal to the
     existing interests' plane (numpy, no grad)."""
@@ -53,7 +50,6 @@ def orthogonal_residual(new: np.ndarray, existing: np.ndarray) -> np.ndarray:
     return new - new @ proj.T
 
 
-@shape_contract("(K, D) f, () -> (K, D) f")
 def project_new_interests(interests: Tensor, n_existing: int) -> Tensor:
     """In-graph PIT projection of the rows ``[n_existing:]``.
 
@@ -72,7 +68,6 @@ def project_new_interests(interests: Tensor, n_existing: int) -> Tensor:
     return concat([existing, residual], axis=0)
 
 
-@shape_contract("(K, D) f, (), (), (K) b -> (K) b")
 def trim_mask(interests: np.ndarray, n_existing: int, c2: float,
               created_this_span: np.ndarray) -> np.ndarray:
     """Eq. 17: boolean keep-mask over interest rows.
@@ -89,7 +84,6 @@ def trim_mask(interests: np.ndarray, n_existing: int, c2: float,
     return keep
 
 
-@shape_contract("(K, D) f, (), (N, D) f -> (KN, KO) f, (KN) f")
 def redundancy_report(
     interests: np.ndarray,
     n_existing: int,

@@ -16,7 +16,6 @@ from typing import Dict, List
 import numpy as np
 
 from ..models.base import MSRModel
-from ..sanitize import capture as _capture
 from .ader import decode_pool, encode_pool
 from .imsr.framework import IMSR
 from .strategy import TrainConfig, UserPayload, build_payloads
@@ -43,7 +42,7 @@ class IMSRReplay(IMSR):
 
     def extra_state(self):
         state = super().extra_state()
-        state["pool"] = _capture(encode_pool(self.pool))
+        state["pool"] = encode_pool(self.pool)
         return state
 
     def load_extra_state(self, arrays):

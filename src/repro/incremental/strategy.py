@@ -33,7 +33,6 @@ from ..models.base import MSRModel, UserState
 from ..nn import Adam, SparseAdam, clip_grad_norm
 from ..obs import prof as _prof
 from ..obs import trace as obs
-from ..sanitize import capture as _capture
 
 
 @dataclass
@@ -333,7 +332,7 @@ class IncrementalStrategy:
                 loss = loss + extra
         if not self._step(loss, opt, payload.user):
             return False
-        state.interests = _capture(interests.data.copy())
+        state.interests = interests.data.copy()
         return True
 
     def _train_group(
@@ -395,7 +394,7 @@ class IncrementalStrategy:
         for b, (state, _) in enumerate(jobs):
             source = per_user[b].data if per_user is not None else (
                 interests.data[b, :ks[b]])
-            state.interests = _capture(source.copy())
+            state.interests = source.copy()
 
     def _step(self, loss: Tensor, opt: Adam, user: int) -> bool:
         """One optimizer step on ``loss``; False when it was skipped.
@@ -492,4 +491,4 @@ class IncrementalStrategy:
                 interests = self.model.compute_interests(state, items)
                 if interests_hook is not None:
                     interests = interests_hook(state, interests)
-            state.interests = _capture(interests.data.copy())
+            state.interests = interests.data.copy()

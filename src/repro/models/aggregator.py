@@ -14,10 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..contracts import shape_contract
 
-
-@shape_contract("(K, D) f, (D) f -> (K) f")
 def attention_scores(interests: np.ndarray, target_emb: np.ndarray) -> np.ndarray:
     """Softmax attention of a target item over interests (numpy, no grad).
 
@@ -30,7 +27,6 @@ def attention_scores(interests: np.ndarray, target_emb: np.ndarray) -> np.ndarra
     return exp / exp.sum()
 
 
-@shape_contract("(K, D) f, (N, D) f -> (N) f")
 def score_items(interests: np.ndarray, item_embeddings: np.ndarray) -> np.ndarray:
     """Max-over-interests retrieval scores for every item (numpy, no grad).
 
@@ -41,7 +37,6 @@ def score_items(interests: np.ndarray, item_embeddings: np.ndarray) -> np.ndarra
     return (item_embeddings @ interests.T).max(axis=1)
 
 
-@shape_contract("_, (N, D) f -> (U, N) f")
 def score_items_batch(interest_list: Sequence[np.ndarray],
                       item_embeddings: np.ndarray) -> np.ndarray:
     """:func:`score_items` for a whole batch of users at once.

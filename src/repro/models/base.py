@@ -18,7 +18,6 @@ import numpy as np
 from .. import backend as _backend
 from ..autograd import Tensor, no_grad
 from ..nn import Embedding, Module, Parameter
-from ..sanitize import capture as _capture
 from .aggregator import score_items
 from .sampled_softmax import batch_sampled_softmax_loss
 
@@ -63,7 +62,7 @@ class UserState:
 
     def begin_span(self) -> None:
         """Mark a span boundary: current interests become the teacher."""
-        self.prev_interests = _capture(self.interests.copy())
+        self.prev_interests = self.interests.copy()
         self.n_existing = self.interests.shape[0]
         self.expanded_this_span = False
 
@@ -99,7 +98,7 @@ class MSRModel(Module):
         return UserState(
             user=user,
             interests=interests,
-            prev_interests=_capture(interests.copy()),
+            prev_interests=interests.copy(),
             created_span=np.zeros(self.K0, dtype=np.int64),
             n_existing=self.K0,
             sa_weights=self._init_sa_weights(self.K0),
@@ -205,4 +204,4 @@ class MSRModel(Module):
             return
         with no_grad():
             interests = self.compute_interests(state, item_seq)
-        state.interests = _capture(interests.data.copy())
+        state.interests = interests.data.copy()

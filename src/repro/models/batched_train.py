@@ -44,10 +44,8 @@ from ..backend.fused import (
     fused_sa_interests,
     fused_sampled_softmax,
 )
-from ..contracts import shape_contract
 from ..nn import Parameter
 from ..obs import trace as obs
-from ..sanitize import capture as _capture
 from .base import MSRModel, UserState
 from .comirec_dr import ComiRecDR
 from .comirec_sa import ComiRecSA
@@ -98,7 +96,6 @@ def _capsule_padding(states: Sequence[UserState]) -> Tuple[np.ndarray, List[int]
     return mask, ks
 
 
-@shape_contract("_, _ -> (B, K, D) f, (B, K) b, _")
 def batched_compute_interests(
     model: MSRModel, jobs: Sequence[Job],
 ) -> Tuple[Tensor, np.ndarray, List[int]]:
@@ -183,7 +180,6 @@ def _extract_sa(model: ComiRecSA, jobs: Sequence[Job]):
     return interests, capsule_mask, ks
 
 
-@shape_contract("_, () -> (B, K, D) f, (B, K) b")
 def pad_interest_group(
     tensors: Sequence[Tensor], dim: int,
 ) -> Tuple[Tensor, np.ndarray]:
@@ -205,7 +201,6 @@ def pad_interest_group(
     return stack(rows, axis=0), mask
 
 
-@shape_contract("_, (B, K, D) f, (B, K) b, _, _ -> () f")
 def batched_loss_targets(
     model: MSRModel,
     interests: Tensor,
@@ -272,4 +267,4 @@ def batched_snapshot_interests(
             per_user = interests[b, :ks[b]]
             if interests_hook is not None:
                 per_user = interests_hook(state, per_user)
-            state.interests = _capture(per_user.data.copy())
+            state.interests = per_user.data.copy()

@@ -21,10 +21,8 @@ import numpy as np
 
 from ..autograd import Tensor
 from ..backend.fused import fused_dr_interests_single
-from ..contracts import shape_contract
 
 
-@shape_contract("(N, D) f, (K, D) f, (), (N, K) f, _ -> (K, D) f")
 def b2i_routing(
     e_hat: Tensor,
     init_interests: np.ndarray,

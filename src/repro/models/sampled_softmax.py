@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from ..autograd import Tensor
 from ..backend.fused import fused_sampled_softmax_single
-from ..contracts import shape_contract
 
 
-@shape_contract("(K, D) f, (M, D) f, (M, J, D) f -> () f")
 def batch_sampled_softmax_loss(
     interests: Tensor,
     target_embs: Tensor,

@@ -12,7 +12,6 @@ from typing import Optional
 import numpy as np
 
 from ..autograd import Tensor, is_grad_enabled
-from ..contracts import shape_contract
 from . import init
 from .module import Module, Parameter
 
@@ -28,7 +27,6 @@ class Linear(Module):
         self.weight = Parameter(init.xavier_uniform((out_features, in_features), rng))
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
 
-    @shape_contract("(...B, Din) f -> (...B, Dout) f")
     def forward(self, x: Tensor) -> Tensor:
         out = x @ self.weight.T
         if self.bias is not None:
@@ -60,7 +58,6 @@ class Embedding(Module):
         self.weight.row_sparse = True
         self.weight._touched_rows = None
 
-    @shape_contract("(...I) i -> (...I, D) f")
     def forward(self, indices: np.ndarray) -> Tensor:
         idx = np.asarray(indices, dtype=np.int64)
         if self.weight._touched_rows is not None and is_grad_enabled():

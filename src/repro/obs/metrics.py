@@ -22,7 +22,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..contracts import shape_contract
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -72,7 +71,6 @@ def metric_key(name: str, labels: Dict[str, object]) -> Tuple[str, LabelItems]:
     return name, tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
-@shape_contract("(N) f, (E) f -> (B) i")
 def bucket_counts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Histogram bucketing: per-bucket counts for ``values``.
 

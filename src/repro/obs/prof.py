@@ -23,7 +23,7 @@ went*.  Three hook families feed one :class:`OpProfiler`:
 
 Everything is **off by default**.  Each hook site costs one module
 attribute load plus a ``None`` check while disabled — the same budget
-as the trace probes and the sanitizer, enforced by
+as the trace probes, enforced by
 ``benchmarks/obs_probe.py``.  Hooks only read clocks and counters; they
 never touch the numbers, so a profiled run is bit-identical to an
 unprofiled one.

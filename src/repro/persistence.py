@@ -64,7 +64,6 @@ from .incremental.strategy import IncrementalStrategy
 from .models.base import UserState
 from .nn import Parameter
 from .obs import trace as obs
-from .sanitize import capture as _capture
 from .obs.log import get_logger
 
 PathLike = Union[str, Path]
@@ -75,6 +74,11 @@ _FORMAT_VERSION = 3
 
 #: byte alignment of every array's offset inside a v3 ``blob``
 _BLOB_ALIGN = 64
+
+#: the ``user/<u>/...`` arrays every checkpointed user carries
+#: (``sa_weights`` is present only for self-attention models)
+_USER_FIELDS = ("interests", "prev_interests", "created_span", "n_existing",
+                "expanded")
 
 #: whole-file integrity trailer: b"\n" + marker + 64 hex chars + b"\n",
 #: appended after the zip end-of-central-directory record
@@ -221,12 +225,10 @@ def _collect_arrays(strategy: IncrementalStrategy) -> Dict[str, np.ndarray]:
         arrays[f"param/{name}"] = param.data
     # sorted: the blob layout order is part of the determinism contract
     # (same state -> byte-identical layout), not insertion luck.
-    # Snapshot-style members are frozen at this capture boundary; live
-    # trainables (param/, sa_weights) stay writable for the optimizer.
     for user, state in sorted(strategy.states.items()):
-        arrays[f"user/{user}/interests"] = _capture(state.interests)
-        arrays[f"user/{user}/prev_interests"] = _capture(state.prev_interests)
-        arrays[f"user/{user}/created_span"] = _capture(state.created_span)
+        arrays[f"user/{user}/interests"] = state.interests
+        arrays[f"user/{user}/prev_interests"] = state.prev_interests
+        arrays[f"user/{user}/created_span"] = state.created_span
         arrays[f"user/{user}/n_existing"] = np.array([state.n_existing])
         # NID's once-per-span guard: replayed-but-inactive users carry it
         # across span boundaries, so a resume must restore it too
@@ -236,7 +238,7 @@ def _collect_arrays(strategy: IncrementalStrategy) -> Dict[str, np.ndarray]:
     # strategy-specific state beyond the base contract: replay pools,
     # Fisher estimates, diagnostic logs (see IncrementalStrategy.extra_state)
     for name, arr in sorted(strategy.extra_state().items()):
-        arrays[f"extra/{name}"] = _capture(np.asarray(arr))
+        arrays[f"extra/{name}"] = np.asarray(arr)
     return arrays
 
 
@@ -479,7 +481,8 @@ def load_checkpoint(strategy: IncrementalStrategy, path: PathLike,
             f"checkpoint lacks model parameter(s) {missing[:5]}")
     for name, arr in ckpt_params.items():
         if name not in params:
-            raise KeyError(f"checkpoint parameter {name!r} not in model")
+            raise CheckpointError(
+                f"checkpoint parameter {name!r} not in model")
         target = params[name].data
         if target.dtype != arr.dtype:
             # the compute backend fixes the dtype and is not part of the
@@ -512,6 +515,17 @@ def load_checkpoint(strategy: IncrementalStrategy, path: PathLike,
             "load_checkpoint: skipping %d checkpoint user(s) absent from "
             "the strategy: %s%s", len(unknown), unknown[:10],
             "..." if len(unknown) > 10 else "")
+    for user in users:
+        lacking = [f"user/{user}/{field}" for field in _USER_FIELDS
+                   if f"user/{user}/{field}" not in arrays]
+        if lacking:
+            raise CheckpointError(f"checkpoint lacks {lacking}")
+        for field in ("interests", "prev_interests"):
+            shape = arrays[f"user/{user}/{field}"].shape
+            if len(shape) != 2 or shape[1] != strategy.model.dim:
+                raise CheckpointError(
+                    f"checkpoint user/{user}/{field} has shape {shape}; "
+                    f"the model needs (K, {strategy.model.dim})")
 
     # -------- all validation passed: apply ---------------------------- #
     # extra strategy state first: a strategy that rejects it (unknown
@@ -548,10 +562,9 @@ def load_checkpoint(strategy: IncrementalStrategy, path: PathLike,
                 n_existing=0,
             )
             strategy.states[user] = state
-        state.interests = _capture(arrays[f"user/{user}/interests"].copy())
-        state.prev_interests = _capture(
-            arrays[f"user/{user}/prev_interests"].copy())
-        state.created_span = _capture(arrays[f"user/{user}/created_span"].copy())
+        state.interests = arrays[f"user/{user}/interests"].copy()
+        state.prev_interests = arrays[f"user/{user}/prev_interests"].copy()
+        state.created_span = arrays[f"user/{user}/created_span"].copy()
         state.n_existing = int(arrays[f"user/{user}/n_existing"][0])
         state.expanded_this_span = bool(arrays[f"user/{user}/expanded"][0])
         sa_key = f"user/{user}/sa_weights"

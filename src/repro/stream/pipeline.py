@@ -288,7 +288,10 @@ class _Pipeline:
     # preparation / resume
     # ------------------------------------------------------------------ #
     def _prepare(self) -> None:
-        if self.directory is not None and self.resume:
+        # like the span runner, a resume into a directory with no journal
+        # is a fresh run
+        if (self.directory is not None and self.resume
+                and (self.directory / IntervalRecord.layout.name).exists()):
             journal = Journal.load(IntervalRecord, self.directory,
                                    run_fingerprint(self.strategy))
             restored = journal.last_restorable()

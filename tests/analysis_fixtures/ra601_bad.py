@@ -1,7 +1,7 @@
 """RA601 firing: in-place writes through aliases of autograd buffers and
-into the caller's array from inside a shape-contracted function."""
+into the caller's array from inside a function that takes it."""
 
-from repro.contracts import shape_contract
+import numpy as np
 
 
 def corrupt(tensor, idx):
@@ -11,7 +11,6 @@ def corrupt(tensor, idx):
     flat[idx] += 1.0             # same story via a reshape view
 
 
-@shape_contract("(N, D) f -> (N, D) f")
-def sharpen(item_embs):
+def sharpen(item_embs: np.ndarray) -> np.ndarray:
     item_embs *= 1.5             # rescales the caller's array too
     return item_embs

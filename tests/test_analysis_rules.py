@@ -94,11 +94,11 @@ class TestRuleDetails:
         findings = analyze_source(src, tmp_path / "m.py")
         assert [(f.rule, f.line) for f in findings] == [("RA201", 3)]
 
-    def test_ra601_flags_writes_into_contract_arguments(self, tmp_path):
-        src = ("from repro.contracts import shape_contract\n"
-               "@shape_contract(\"(N) f, (N) f -> (N) f\")\n"
-               "def f(scores, out):\n"
+    def test_ra601_flags_writes_into_array_arguments(self, tmp_path):
+        src = ("import numpy as np\n"
+               "def f(scores: np.ndarray, out: np.ndarray, n):\n"
                "    out += scores\n"             # numpy's output buffer
+               "    n += 1\n"                    # not an array argument
                "    scores *= 2.0\n"
                "    return out\n")
         findings = analyze_source(src, tmp_path / "m.py")

@@ -1,6 +1,6 @@
 """The pluggable compute backend (:mod:`repro.backend`).
 
-Four families of guarantees:
+Three families of guarantees:
 
 1. **Selection** — registry names (case-insensitive), scoped switching,
    the ``REPRO_BACKEND`` environment hook, and dtype threading into
@@ -10,11 +10,7 @@ Four families of guarantees:
    per user and for a padded group; the fast float32 backend stays
    within documented drift tolerances; and a crash/resumed fast run is
    metric-identical to its uninterrupted twin.
-3. **Training under the write-guard** — fast-backend training runs
-   clean under the runtime sanitizer.
-4. **Contracts and observability** — every backend op's shape contract
-   rejects malformed operands for both backends, and traces name the
-   active backend.
+3. **Observability** — traces name the active backend.
 """
 
 from __future__ import annotations
@@ -27,10 +23,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import backend, sanitize
+from repro import backend
 from repro.autograd import Tensor
-from repro.backend import FastBackend, NumpyBackend, set_backend, use_backend
-from repro.contracts import ContractViolation, enforced
+from repro.backend import NumpyBackend, set_backend, use_backend
 from repro.data import WorldConfig, generate_world, split_time_spans
 from repro.eval import evaluate_span
 from repro.experiments import make_strategy, run_strategy
@@ -439,43 +434,8 @@ class TestStreamUnderFast:
 
 
 # --------------------------------------------------------------------- #
-# 3. training under the write-guard
+# 3. observability
 # --------------------------------------------------------------------- #
-
-
-class TestPoolLifecycleInTraining:
-    """Fast-backend training runs clean under the write-guard sanitizer."""
-
-    def test_training_under_sanitizer(self, tiny_split):
-        with use_backend("fast"), sanitize.enforced():
-            result = run_strategy(build(tiny_split), tiny_split, "tiny",
-                                  "ComiRec-DR")
-        assert np.isfinite(result.hr)
-
-
-# --------------------------------------------------------------------- #
-# 4. contracts and observability
-# --------------------------------------------------------------------- #
-
-
-@pytest.fixture(params=["default", "fast"])
-def a_backend(request):
-    if request.param == "fast":
-        return FastBackend()
-    return NumpyBackend()
-
-
-class TestBackendContracts:
-    def test_scatter_add_contract(self, a_backend):
-        dt = a_backend.compute_dtype
-        out = np.zeros((4, 3), dtype=dt)
-        with enforced():
-            a_backend.scatter_add(out, np.array([1, 1]),
-                                  np.ones((2, 3), dtype=dt))
-            assert out[1, 0] == 2.0
-            with pytest.raises(ContractViolation):
-                a_backend.scatter_add(out, np.array([1]),
-                                      np.ones((1, 2), dtype=dt))
 
 
 class TestObservability:

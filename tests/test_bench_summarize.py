@@ -109,76 +109,6 @@ class TestLintIngestion:
         bench.write_text(SAMPLE)
         assert summarize.main(["summarize.py", str(bench), "--lint"]) == 2
 
-class TestContractCoverage:
-    def write_pkg(self, tmp_path):
-        pkg = tmp_path / "src" / "repro" / "models"
-        pkg.mkdir(parents=True)
-        (tmp_path / "src" / "repro" / "__init__.py").write_text("")
-        (pkg / "__init__.py").write_text("")
-        (pkg / "mod.py").write_text(
-            "from repro.contracts import shape_contract\n"
-            "\n"
-            "@shape_contract('(N) f -> () f')\n"
-            "def total(x):\n"
-            "    return x.sum()\n"
-            "\n"
-            "def helper(x):\n"
-            "    return x\n"
-            "\n"
-            "def _private(x):\n"
-            "    return x\n"
-        )
-        return tmp_path / "src"
-
-    def test_counts_public_and_annotated(self, tmp_path):
-        src = self.write_pkg(tmp_path)
-        coverage = summarize.contract_coverage(src)
-        assert ("repro.models", 1, 2) in coverage
-
-    def test_real_tree_coverage(self):
-        src = Path(__file__).resolve().parent.parent / "src"
-        coverage = dict(
-            (pkg, (annotated, total))
-            for pkg, annotated, total in summarize.contract_coverage(src))
-        # the ISSUE floor: >=25 functions carry contracts repo-wide
-        # (private helpers are excluded here, so allow a small margin)
-        assert sum(a for a, _ in coverage.values()) >= 25
-        for pkg in ("repro.autograd", "repro.models",
-                    "repro.incremental", "repro.eval", "repro.nn"):
-            annotated, total = coverage[pkg]
-            assert annotated > 0, pkg
-            assert total >= annotated
-
-    def test_markdown_rows_and_overall(self):
-        md = summarize.to_markdown(
-            [("A", 1, 1)],
-            coverage=[("repro.models", 3, 10), ("repro.nn", 2, 4)])
-        assert "| contracts: repro.models | 3/10 annotated |" in md
-        assert md.splitlines()[-1] == (
-            "| **contracts overall** | **5/14 annotated** |")
-
-    def test_main_with_contracts_flag(self, tmp_path, capsys):
-        bench = tmp_path / "bench.txt"
-        bench.write_text(SAMPLE)
-        src = self.write_pkg(tmp_path)
-        assert summarize.main(["summarize.py", str(bench),
-                               "--contracts", str(src)]) == 0
-        out = capsys.readouterr().out
-        assert "| contracts: repro.models | 1/2 annotated |" in out
-
-    def test_main_rejects_bad_contracts_root(self, tmp_path):
-        bench = tmp_path / "bench.txt"
-        bench.write_text(SAMPLE)
-        assert summarize.main(["summarize.py", str(bench),
-                               "--contracts", str(tmp_path / "nope")]) == 2
-
-    def test_main_contracts_flag_without_value(self, tmp_path):
-        bench = tmp_path / "bench.txt"
-        bench.write_text(SAMPLE)
-        assert summarize.main(["summarize.py", str(bench),
-                               "--contracts"]) == 2
-
-
 ROBUSTNESS = """\
 {"version": 1, "tool": "repro.robustness",
  "checkpoint": {"size_bytes": 65536, "arrays": 34,
@@ -268,46 +198,6 @@ class TestLintIngestionEndToEnd:
                                "--lint", str(lint)]) == 0
         assert ("clean (1 files; RA6xx 0, RA7xx 0)"
                 in capsys.readouterr().out)
-
-
-SANITIZE_REPORT = """{
- "version": 1, "tool": "repro.sanitize",
- "capture_ns": 44.0, "flag_test_ns": 19.0,
- "capture_calls": 360, "graph_builds": 11946,
- "run_off_s": 0.22, "run_enforced_s": 0.29,
- "disabled_overhead_pct": 0.11, "enforced_overhead_pct": 28.9,
- "budget_pct": 2.0}
-"""
-
-
-class TestSanitizeIngestion:
-    def test_parse_report_rows(self):
-        rows = summarize.parse_sanitize(SANITIZE_REPORT)
-        labels = [label for label, _ in rows]
-        assert labels == ["disabled guards", "enforced run"]
-        assert "0.110% of run (budget 2%)" in rows[0][1]
-        assert "+28.9% wall clock" in rows[1][1]
-
-    def test_wrong_tool_rejected(self):
-        with pytest.raises(ValueError):
-            summarize.parse_sanitize('{"tool": "repro.obs"}')
-
-    def test_main_with_sanitize_flag(self, tmp_path, capsys):
-        bench = tmp_path / "bench.txt"
-        bench.write_text(SAMPLE)
-        report = tmp_path / "BENCH_sanitize.json"
-        report.write_text(SANITIZE_REPORT)
-        assert summarize.main(["summarize.py", str(bench),
-                               "--sanitize", str(report)]) == 0
-        out = capsys.readouterr().out
-        assert "| sanitize: disabled guards |" in out
-        assert "| sanitize: enforced run |" in out
-
-    def test_main_sanitize_flag_without_value(self, tmp_path):
-        bench = tmp_path / "bench.txt"
-        bench.write_text(SAMPLE)
-        assert summarize.main(
-            ["summarize.py", str(bench), "--sanitize"]) == 2
 
 
 class TestRuleFamilyRollup:

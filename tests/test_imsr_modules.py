@@ -87,6 +87,18 @@ class TestEIR:
         loss.backward()
         assert interests.grad is not None
 
+    @pytest.mark.parametrize("name", sorted(RETAINERS))
+    def test_retainer_leaves_its_inputs_unchanged(self, rng, name):
+        # prev_interests is the previous span's snapshot that every later
+        # step distils against; a write into it changes what EIR retains
+        prev = rng.normal(size=(3, 6))
+        targets = Tensor(rng.normal(size=(5, 6)))
+        prev_before, targets_before = prev.copy(), targets.data.copy()
+        interests = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        RETAINERS[name](interests, prev, targets, temperature=1.0).backward()
+        np.testing.assert_array_equal(prev, prev_before)
+        np.testing.assert_array_equal(targets.data, targets_before)
+
     @pytest.mark.parametrize("name", ["KD1", "KD2", "KD3"])
     def test_kd_variants_zero_teacher_rows(self, rng, name):
         fn = get_retainer(name)

@@ -6,7 +6,6 @@ import logging
 import numpy as np
 import pytest
 
-from repro.contracts import ContractViolation, enforced
 from repro.obs import (
     DEFAULT_BUCKETS,
     META_NAME,
@@ -53,12 +52,6 @@ class TestBucketCounts:
             bucket_counts(np.array([1.0]), np.array([2.0, 1.0]))
         with pytest.raises(ValueError, match="non-empty"):
             bucket_counts(np.array([1.0]), np.array([]))
-
-    def test_shape_contract_enforced(self):
-        with enforced():
-            bucket_counts(np.array([1.0, 2.0]), np.array([1.5]))
-            with pytest.raises(ContractViolation):
-                bucket_counts(np.ones((2, 2)), np.array([1.5]))
 
 
 class TestHistogram:

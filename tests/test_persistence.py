@@ -397,6 +397,27 @@ class TestBlobArchive:
         with pytest.raises(CheckpointError, match="valid slice"):
             checkpoint_info(path)  # unverified reads are bounds-checked too
 
+    @pytest.mark.parametrize("fault", ["dropped", "reshaped", "unknown"])
+    def test_bad_entry_is_rejected_before_any_write(
+            self, tiny_split, fast_config, saved, fault):
+        _, path, _, manifest, blob = saved
+        entries = manifest["arrays"]
+        name = f"user/{manifest['users'][-1]}/prev_interests"
+        if fault == "dropped":
+            del entries[name]
+        elif fault == "reshaped":
+            entries[name]["shape"] = [int(np.prod(entries[name]["shape"]))]
+        else:
+            name = "bogus"
+            entries["param/bogus"] = dict(entries["param/item_emb.weight"])
+        self.rewrite(path, manifest, blob)
+        fresh = build(tiny_split, fast_config)
+        snapshot = fresh.model.state_dict()
+        with pytest.raises(CheckpointError, match=name):
+            load_checkpoint(fresh, path)
+        for param, value in fresh.model.state_dict().items():
+            assert np.array_equal(value, snapshot[param]), param
+
     def test_extra_member_next_to_blob_is_rejected(self, saved):
         _, path, _, manifest, blob = saved
         self.rewrite(path, manifest, blob, extra=np.zeros(3))

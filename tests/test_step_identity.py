@@ -194,8 +194,6 @@ def reference_backward(root: Tensor, grad=None) -> None:
             if id(current) not in visited:
                 visited.add(id(current))
                 topo.append(current)
-    for node in topo:
-        node._stamp = None
     grads = {id(root): grad}
     for node in reversed(topo):
         node_grad = grads.pop(id(node), None)

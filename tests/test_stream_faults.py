@@ -349,6 +349,20 @@ class TestCrashResume:
                        config=STREAM_CONFIG,
                        checkpoint_dir=tmp_path / "run", resume=True)
 
+    def test_resume_with_empty_directory_runs_fresh(self, tiny_split,
+                                                    tmp_path, baseline):
+        base, base_hash = baseline
+        resumed = build(tiny_split)
+        result = run_stream(resumed, events=stream_events(tiny_split),
+                            config=STREAM_CONFIG,
+                            checkpoint_dir=tmp_path / "run", resume=True)
+        assert result.resumed_from is None
+        assert result.chain == base.chain
+        assert result.trained == base.trained
+        assert result.window_recall == base.window_recall
+        assert result.window_ndcg == base.window_ndcg
+        assert state_hash(resumed) == base_hash
+
     def test_crash_before_first_commit_never_resumes_an_older_run(
             self, tiny_split, tmp_path):
         """A fresh run writes its empty journal before pretraining, so a

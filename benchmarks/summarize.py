@@ -2,15 +2,13 @@
 """Summarize a benchmark run's shape checks into a markdown table.
 
 Usage:  python benchmarks/summarize.py bench_output.txt
-            [--lint lint.json] [--robustness robustness.json]
-            [--obs BENCH_obs.json] [--stream BENCH_stream.json]
+            [--robustness robustness.json] [--obs BENCH_obs.json]
+            [--stream BENCH_stream.json]
 
 Parses the ``===== <title> =====`` sections and the ``N/M shape checks
 hold`` lines the bench harness prints, and emits the markdown summary
-that EXPERIMENTS.md embeds.  With ``--lint``, the JSON report from
-``python -m repro.analysis src --format json`` is appended as an extra
-row so lint counts are tracked next to the reproduction metrics; with
-``--robustness``, the checkpoint/resume latency report emitted by
+that EXPERIMENTS.md embeds.  With ``--robustness``, the
+checkpoint/resume latency report emitted by
 ``benchmarks/robustness_probe.py`` is folded in as a row group; with
 ``--obs``, the instrumentation-overhead report emitted by
 ``benchmarks/obs_probe.py`` is folded in the same way; with
@@ -47,37 +45,6 @@ def parse_sections(text: str) -> List[Tuple[str, int, int]]:
     return sections
 
 
-def _rule_family_counts(by_rule: dict) -> dict:
-    """Roll finding counts up into rule families (RA1xx, RA6xx, ...)."""
-    families: dict = {}
-    for rid, n in by_rule.items():
-        family = rid[:3] + "xx" if re.match(r"^RA\d{3}$", rid) else rid
-        families[family] = families.get(family, 0) + int(n)
-    return families
-
-
-def parse_lint(text: str) -> Tuple[str, str]:
-    """Turn a ``repro.analysis --format json`` report into a table row.
-
-    Aliasing (RA6xx) and determinism (RA7xx) counts are always shown —
-    zero included — so the summary records that those families ran.
-    """
-    payload = json.loads(text)
-    summary = payload.get("summary", {})
-    findings = int(summary.get("findings", 0))
-    parse_errors = int(summary.get("parse_errors", 0))
-    files = int(summary.get("files_scanned", 0))
-    families = _rule_family_counts(summary.get("by_rule", {}))
-    tracked = ", ".join(
-        f"{fam} {families.get(fam, 0)}" for fam in ("RA6xx", "RA7xx"))
-    if findings == 0 and parse_errors == 0:
-        return ("static analysis", f"clean ({files} files; {tracked})")
-    by_rule = summary.get("by_rule", {})
-    detail = ", ".join(f"{rid}×{n}" for rid, n in sorted(by_rule.items()))
-    cell = f"{findings + parse_errors} finding(s)"
-    if detail:
-        cell += f" [{detail}]"
-    return ("static analysis", f"{cell} ({tracked})")
 
 
 def parse_robustness(text: str) -> List[Tuple[str, str]]:
@@ -165,7 +132,6 @@ def parse_stream(text: str) -> List[Tuple[str, str]]:
 
 
 def to_markdown(sections: List[Tuple[str, int, int]],
-                lint: Optional[Tuple[str, str]] = None,
                 robustness: Optional[List[Tuple[str, str]]] = None,
                 obs: Optional[List[Tuple[str, str]]] = None,
                 stream: Optional[List[Tuple[str, str]]] = None) -> str:
@@ -176,8 +142,6 @@ def to_markdown(sections: List[Tuple[str, int, int]],
         passed_total += passed
         checks_total += total
     lines.append(f"| **overall** | **{passed_total}/{checks_total}** |")
-    if lint is not None:
-        lines.append(f"| {lint[0]} | {lint[1]} |")
     if robustness:
         for label, cell in robustness:
             lines.append(f"| robustness: {label} | {cell} |")
@@ -205,12 +169,11 @@ def _take_flag(args: List[str], flag: str) -> Optional[str]:
 
 def main(argv: List[str]) -> int:
     args = list(argv[1:])
-    lint_path = _take_flag(args, "--lint")
     robustness_path = _take_flag(args, "--robustness")
     obs_path = _take_flag(args, "--obs")
     stream_path = _take_flag(args, "--stream")
-    if (lint_path == "" or robustness_path == "" or obs_path == ""
-            or stream_path == "" or len(args) != 1):
+    if (robustness_path == "" or obs_path == "" or stream_path == ""
+            or len(args) != 1):
         print(__doc__)
         return 2
     text = Path(args[0]).read_text()
@@ -218,14 +181,6 @@ def main(argv: List[str]) -> int:
     if not sections:
         print("no shape-check sections found", file=sys.stderr)
         return 1
-    lint = None
-    if lint_path is not None:
-        try:
-            lint = parse_lint(Path(lint_path).read_text())
-        except (OSError, ValueError) as exc:
-            print(f"error: could not read lint report {lint_path}: {exc}",
-                  file=sys.stderr)
-            return 2
     robustness = None
     if robustness_path is not None:
         try:
@@ -250,7 +205,7 @@ def main(argv: List[str]) -> int:
             print(f"error: could not read stream report "
                   f"{stream_path}: {exc}", file=sys.stderr)
             return 2
-    print(to_markdown(sections, lint=lint, robustness=robustness, obs=obs,
+    print(to_markdown(sections, robustness=robustness, obs=obs,
                       stream=stream))
     return 0
 

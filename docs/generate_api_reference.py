@@ -85,7 +85,8 @@ def document_package(name: str) -> str:
             )
         else:
             rep = repr(attr)
-            if len(rep) > 120:
+            # default reprs carry a memory address, which differs per run
+            if len(rep) > 120 or " at 0x" in rep:
                 try:
                     rep = f"<{type(attr).__name__} with {len(attr)} entries>"
                 except TypeError:

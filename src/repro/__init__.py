@@ -12,10 +12,9 @@ Layered public API:
 * :mod:`repro.lifelong` — MIMN and LimaRec baselines;
 * :mod:`repro.eval` — HR/NDCG, span protocol, significance tests;
 * :mod:`repro.experiments` — drivers regenerating every table and figure;
-* :mod:`repro.analysis` — static analysis enforcing the substrate's
-  autograd/randomness/numerics contracts (``repro lint``); imported on
-  first access of ``repro.analysis``, since no training, evaluation or
-  streaming run uses it;
+* :mod:`repro.analysis` — static analysis enforcing seeded randomness
+  (``repro lint``); imported on first access of ``repro.analysis``,
+  since no training, evaluation or streaming run uses it;
 * :mod:`repro.persistence` — crash-safe journaled checkpoints (atomic
   writes, SHA-256 manifests, resume);
 * :mod:`repro.faults` — seeded, deterministic fault injection proving

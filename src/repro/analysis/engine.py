@@ -2,9 +2,9 @@
 
 :func:`analyze_paths` is the programmatic entry point: it walks the
 given files/directories, parses every python module once, runs the
-registered rules, applies ``# repro: noqa`` suppressions and the
-baseline, and returns an :class:`AnalysisReport` with deterministic
-ordering and exit semantics (0 = clean, 1 = actionable findings).
+registered rules, applies ``# repro: noqa`` suppressions, and returns an
+:class:`AnalysisReport` with deterministic ordering and exit semantics
+(0 = clean, 1 = actionable findings).
 """
 
 from __future__ import annotations
@@ -14,9 +14,6 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from . import rules as _rules  # noqa: F401  (importing registers the rules)
-from . import aliasing as _aliasing  # noqa: F401  (registers the RA6xx family)
-from . import determinism as _determinism  # noqa: F401  (registers RA7xx)
-from .baseline import Baseline, BaselineEntry
 from .core import (
     PARSE_ERROR_RULE,
     RULE_REGISTRY,
@@ -69,22 +66,19 @@ class AnalysisReport:
     """Everything one analysis run produced."""
 
     findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     noqa_suppressed: List[Finding] = field(default_factory=list)
     parse_errors: List[Finding] = field(default_factory=list)
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
     files_scanned: int = 0
     rules_run: List[str] = field(default_factory=list)
-    baseline_path: Optional[Path] = None
 
     @property
     def exit_code(self) -> int:
-        """0 = clean (baselined/suppressed findings do not fail the run)."""
+        """0 = clean (noqa-suppressed findings do not fail the run)."""
         return 1 if (self.findings or self.parse_errors) else 0
 
     @property
     def all_raw_findings(self) -> List[Finding]:
-        return self.findings + self.baselined + self.noqa_suppressed
+        return self.findings + self.noqa_suppressed
 
 
 def _display_path(path: Path) -> str:
@@ -113,10 +107,7 @@ def _suppressed(ctx: ModuleContext, finding: Finding) -> bool:
 
 def analyze_source(source: str, path: Path, select: Optional[Sequence[str]] = None,
                    display_path: Optional[str] = None) -> List[Finding]:
-    """Run the (selected) rules over one in-memory module.
-
-    noqa suppression is applied; the baseline is not.
-    """
+    """Run the (selected) rules over one in-memory module, noqa applied."""
     ctx = ModuleContext.from_source(source, path,
                                     display_path=display_path or str(path))
     findings = [f for rule in selected_rules(select) for f in rule.check(ctx)]
@@ -128,14 +119,10 @@ def _sorted(findings: List[Finding]) -> List[Finding]:
 
 
 def analyze_paths(paths: Sequence[str], select: Optional[Sequence[str]] = None,
-                  baseline: Optional[Baseline] = None,
                   exclude: Sequence[str] = ()) -> AnalysisReport:
-    """Analyze a tree; apply noqa directives and the baseline."""
+    """Analyze a tree; apply noqa directives."""
     rules = selected_rules(select)
     report = AnalysisReport(rules_run=[r.id for r in rules])
-    if baseline is not None:
-        report.baseline_path = baseline.source
-    matched_fingerprints: List[str] = []
 
     for path in iter_python_files(paths, exclude=exclude):
         report.files_scanned += 1
@@ -154,18 +141,9 @@ def analyze_paths(paths: Sequence[str], select: Optional[Sequence[str]] = None,
             for finding in rule.check(ctx):
                 if _suppressed(ctx, finding):
                     report.noqa_suppressed.append(finding)
-                    continue
-                fingerprint = finding.fingerprint()
-                if baseline is not None and fingerprint in baseline:
-                    matched_fingerprints.append(fingerprint)
-                    report.baselined.append(finding)
-                    continue
-                report.findings.append(finding)
+                else:
+                    report.findings.append(finding)
 
     report.findings = _sorted(report.findings)
-    report.baselined = _sorted(report.baselined)
     report.noqa_suppressed = _sorted(report.noqa_suppressed)
-    if baseline is not None:
-        report.stale_baseline = baseline.stale_entries(
-            matched_fingerprints, report.rules_run, paths)
     return report

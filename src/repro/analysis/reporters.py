@@ -1,63 +1,36 @@
-"""Text, JSON, GitHub-annotation, and SARIF renderings of an
+"""Text and GitHub-annotation renderings of an
 :class:`~repro.analysis.engine.AnalysisReport`.
 
-The text form is the human / CI-log view; the JSON form feeds tooling
-(``benchmarks/summarize.py`` ingests its ``summary`` block as a tracked
-quality metric); the SARIF form is what CI uploads to code scanning so
-findings annotate PRs.
+The text form is the human / CI-log view; the GitHub form adds one
+``::error``/``::warning`` workflow command per finding so CI marks each
+finding on the PR diff.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from typing import Dict
 
-from .core import PARSE_ERROR_RULE, RULE_REGISTRY, SEVERITY_ERROR, SEVERITY_WARNING
+from .core import SEVERITY_ERROR, SEVERITY_WARNING
 from .engine import AnalysisReport
 
 
-def _counts(report: AnalysisReport) -> Dict[str, int]:
-    severities = Counter(f.severity for f in report.findings)
-    return {
-        "findings": len(report.findings),
-        "errors": severities.get(SEVERITY_ERROR, 0) + len(report.parse_errors),
-        "warnings": severities.get(SEVERITY_WARNING, 0),
-        "baselined": len(report.baselined),
-        "noqa_suppressed": len(report.noqa_suppressed),
-        "parse_errors": len(report.parse_errors),
-        "stale_baseline": len(report.stale_baseline),
-        "files_scanned": report.files_scanned,
-    }
-
-
 def render_text(report: AnalysisReport) -> str:
-    lines = []
-    for f in report.parse_errors + report.findings:
-        lines.append(f.format())
-    counts = _counts(report)
-    if report.stale_baseline:
-        lines.append("stale baseline entries (finding no longer present — "
-                     "remove them):")
-        for entry in report.stale_baseline:
-            lines.append(f"  {entry.fingerprint}  {entry.rule}  {entry.path}")
-    if counts["findings"] or counts["parse_errors"]:
+    lines = [f.format() for f in report.parse_errors + report.findings]
+    files = report.files_scanned
+    if report.findings or report.parse_errors:
+        severities = Counter(f.severity for f in report.findings)
+        errors = severities.get(SEVERITY_ERROR, 0) + len(report.parse_errors)
         by_rule = Counter(f.rule for f in report.findings)
         fired = ", ".join(f"{rid}×{n}" for rid, n in sorted(by_rule.items()))
         lines.append(
-            f"{counts['findings']} finding(s) "
-            f"({counts['errors']} error(s), {counts['warnings']} warning(s)) "
-            f"across {counts['files_scanned']} file(s)"
+            f"{len(report.findings)} finding(s) "
+            f"({errors} error(s), {severities.get(SEVERITY_WARNING, 0)} "
+            f"warning(s)) across {files} file(s)"
             + (f" [{fired}]" if fired else ""))
     else:
-        suffix = []
-        if counts["baselined"]:
-            suffix.append(f"{counts['baselined']} baselined")
-        if counts["noqa_suppressed"]:
-            suffix.append(f"{counts['noqa_suppressed']} noqa-suppressed")
-        detail = f" ({', '.join(suffix)})" if suffix else ""
-        lines.append(f"clean: 0 findings across {counts['files_scanned']} "
-                     f"file(s){detail}")
+        suppressed = len(report.noqa_suppressed)
+        detail = f" ({suppressed} noqa-suppressed)" if suppressed else ""
+        lines.append(f"clean: 0 findings across {files} file(s){detail}")
     return "\n".join(lines)
 
 
@@ -83,83 +56,3 @@ def render_github(report: AnalysisReport) -> str:
             f"title={f.rule}::{_gha_escape(f.message)}")
     lines.append(render_text(report))
     return "\n".join(lines)
-
-
-def render_sarif(report: AnalysisReport) -> str:
-    """SARIF 2.1.0, the schema GitHub code scanning ingests.
-
-    One ``result`` per actionable finding and per parse error (baselined
-    and noqa-suppressed findings are deliberately omitted — they are not
-    actionable and would re-annotate every PR).  ``partialFingerprints``
-    carries the engine's baseline fingerprint so code scanning tracks a
-    finding across unrelated line shifts exactly like the baseline does.
-    """
-    rules_meta = [
-        {
-            "id": rule.id,
-            "name": rule.name,
-            "shortDescription": {"text": rule.summary or rule.name},
-            "defaultConfiguration": {
-                "level": "error" if rule.severity == SEVERITY_ERROR
-                else "warning"},
-        }
-        for rule in sorted(RULE_REGISTRY.values(), key=lambda r: r.id)
-    ]
-    rules_meta.append({
-        "id": PARSE_ERROR_RULE,
-        "name": "parse-error",
-        "shortDescription": {"text": "file could not be parsed"},
-        "defaultConfiguration": {"level": "error"},
-    })
-    rules_meta.sort(key=lambda meta: meta["id"])
-    rule_index = {meta["id"]: i for i, meta in enumerate(rules_meta)}
-
-    results = []
-    for f in report.parse_errors + report.findings:
-        result = {
-            "ruleId": f.rule,
-            "ruleIndex": rule_index.get(f.rule, -1),
-            "level": "error" if f.severity == SEVERITY_ERROR else "warning",
-            "message": {"text": f.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {"uri": f.path,
-                                         "uriBaseId": "SRCROOT"},
-                    "region": {"startLine": f.line,
-                               "startColumn": f.col + 1},
-                },
-            }],
-            "partialFingerprints": {"reproFingerprint/v1": f.fingerprint()},
-        }
-        results.append(result)
-
-    payload = {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {"driver": {
-                "name": "repro-lint",
-                "rules": rules_meta,
-            }},
-            "columnKind": "utf16CodeUnits",
-            "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
-            "results": results,
-        }],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def render_json(report: AnalysisReport) -> str:
-    by_rule = Counter(f.rule for f in report.findings)
-    payload = {
-        "version": 1,
-        "tool": "repro.analysis",
-        "summary": {**_counts(report), "by_rule": dict(sorted(by_rule.items()))},
-        "rules_run": report.rules_run,
-        "findings": [f.as_dict() for f in report.findings],
-        "parse_errors": [f.as_dict() for f in report.parse_errors],
-        "baselined": [f.as_dict() for f in report.baselined],
-        "stale_baseline": [e.as_dict() for e in report.stale_baseline],
-        "exit_code": report.exit_code,
-    }
-    return json.dumps(payload, indent=2)

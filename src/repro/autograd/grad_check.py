@@ -38,11 +38,11 @@ def numerical_gradient(
     # every write is restored before the next probe
     for i in range(flat.size):
         original = flat[i]
-        flat[i] = original + eps  # repro: noqa[RA601]
+        flat[i] = original + eps
         plus = float(fn(*inputs).data)
-        flat[i] = original - eps  # repro: noqa[RA601]
+        flat[i] = original - eps
         minus = float(fn(*inputs).data)
-        flat[i] = original  # repro: noqa[RA601]
+        flat[i] = original
         grad_flat[i] = (plus - minus) / (2.0 * eps)
     return grad
 

@@ -200,7 +200,7 @@ def _sa_kernel(embs: Tensor, w1, user_ws: Sequence, E: np.ndarray,
     w_pad = np.zeros((batch, d_a, k_max), dtype=dt)
     for b, w in enumerate(user_ws):
         # slice assignment copies w.data into the pad; no alias survives
-        w_pad[b, :, :ks[b]] = w.data  # repro: noqa[RA603]
+        w_pad[b, :, :ks[b]] = w.data
     hidden = np.empty((batch, n, d_a), dtype=dt)
     np.matmul(E, W1.T, out=hidden)
     np.tanh(hidden, out=hidden)                       # H = tanh(E W1ᵀ)
@@ -285,8 +285,7 @@ def _loss_kernel(interests: Tensor, target_embs: Tensor, neg_embs: Tensor,
                         _const(_NEG, dt))[:, None, :]
     beta = np.empty(att.shape, dtype=dt)             # softmax over capsules
     np.subtract(att, att.max(axis=2, keepdims=True), out=beta)
-    # beta is max-subtracted on the line above (out= hides it from the scan)
-    np.exp(beta, out=beta)  # repro: noqa[RA302]
+    np.exp(beta, out=beta)
     beta /= beta.sum(axis=2, keepdims=True)          # (B, M, K)
     v = np.empty(Te.shape, dtype=dt)
     np.matmul(beta, I, out=v)                        # aggregated vec (bmd)
@@ -298,7 +297,7 @@ def _loss_kernel(interests: Tensor, target_embs: Tensor, neg_embs: Tensor,
     np.exp(shifted, out=prob)
     denom = prob.sum(axis=2, keepdims=True)
     # denom >= 1: the row max contributes exp(0) = 1 to the sum
-    nll = np.log(denom[..., 0]) - shifted[..., 0]  # repro: noqa[RA301]
+    nll = np.log(denom[..., 0]) - shifted[..., 0]
     prob /= denom                                    # kept for backward
     out = np.asarray((nll * w).sum(), dtype=dt)
 

@@ -109,7 +109,7 @@ def _retention_drift_ratio(result: Fig7Result) -> float:
                 separations.append(float(np.linalg.norm(b[i] - b[j])))
     if not moves or not separations or np.mean(separations) == 0:
         return 1.0
-    return float(np.mean(moves) / np.mean(separations))  # repro: noqa[RA303] zero denominator handled by the early return above
+    return float(np.mean(moves) / np.mean(separations))
 
 
 def _pca_2d(points: np.ndarray, basis: Optional[np.ndarray] = None) -> np.ndarray:

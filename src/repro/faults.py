@@ -190,7 +190,7 @@ class FaultPlan:
         param = params[int(self.rng.integers(len(params)))]
         flat = param.data.reshape(-1)
         # corrupting the live parameter is this fault's entire purpose
-        flat[int(self.rng.integers(flat.size))] = np.nan  # repro: noqa[RA601]
+        flat[int(self.rng.integers(flat.size))] = np.nan
 
     # ------------------------------------------------------------------ #
     # streaming fault kinds (consumed by repro.stream)

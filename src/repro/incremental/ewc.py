@@ -95,7 +95,7 @@ class EWC(IncrementalStrategy):
         if count == 0:
             return
         # sorted: the reduction order of this dict is part of the
-        # determinism contract (RA7xx), not an accident of insertion order
+        # determinism contract, not an accident of insertion order
         for name in sorted(accum):
             new = accum[name] / count
             if name in self.fisher:  # running average across spans

@@ -47,7 +47,8 @@ def sigmoid_distillation_loss(
     if k_prev == 0:
         return Tensor(0.0)
     student_logits = (interests[:k_prev] @ target_embs.T) * (1.0 / temperature)
-    teacher_logits = (prev_interests @ target_embs.data.T) / temperature  # repro: noqa[RA102] teacher logits are constants by design (Eq. 10)
+    # teacher logits are constants by design (Eq. 10)
+    teacher_logits = (prev_interests @ target_embs.data.T) / temperature
     teacher = Tensor(1.0 / (1.0 + np.exp(-teacher_logits)))  # detached σ
     return binary_cross_entropy(sigmoid(student_logits), teacher)
 

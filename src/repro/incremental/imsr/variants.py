@@ -36,7 +36,8 @@ def kd1_interest_softmax(
     if k_prev == 0:
         return Tensor(0.0)
     student_logits = (target_embs @ interests[:k_prev].T) * (1.0 / temperature)
-    teacher_logits = (target_embs.data @ prev_interests.T) / temperature  # repro: noqa[RA102] teacher distribution is a constant (LwF)
+    # the teacher distribution is a constant (LwF)
+    teacher_logits = (target_embs.data @ prev_interests.T) / temperature
     teacher = Tensor(_teacher_softmax(teacher_logits, axis=1))
     logp = log_softmax(student_logits, axis=1)
     return -(teacher * logp).sum(axis=1).mean()
@@ -53,7 +54,8 @@ def kd2_item_softmax(
     if k_prev == 0:
         return Tensor(0.0)
     student_logits = (interests[:k_prev] @ target_embs.T) * (1.0 / temperature)
-    teacher_logits = (prev_interests @ target_embs.data.T) / temperature  # repro: noqa[RA102] teacher distribution is a constant (KD)
+    # the teacher distribution is a constant (KD)
+    teacher_logits = (prev_interests @ target_embs.data.T) / temperature
     teacher = Tensor(_teacher_softmax(teacher_logits, axis=1))
     logp = log_softmax(student_logits, axis=1)
     return -(teacher * logp).sum(axis=1).mean()

@@ -545,9 +545,10 @@ def load_checkpoint(strategy: IncrementalStrategy, path: PathLike,
     for name, arr in ckpt_params.items():
         target = params[name].data
         if target.shape != arr.shape:
-            target[:arr.shape[0]] = arr  # repro: noqa[RA601] restore-in-place is the point; row-grown prefix validated above
+            # restore in place; the row-grown prefix was validated above
+            target[:arr.shape[0]] = arr
         else:
-            target[...] = arr  # repro: noqa[RA601] restore-in-place is the point; no tape is live during load
+            target[...] = arr  # no tape is live during a load
 
     for user in users:
         state = strategy.states.get(user)
@@ -562,14 +563,15 @@ def load_checkpoint(strategy: IncrementalStrategy, path: PathLike,
                 n_existing=0,
             )
             strategy.states[user] = state
-        state.interests = arrays[f"user/{user}/interests"].copy()
-        state.prev_interests = arrays[f"user/{user}/prev_interests"].copy()
-        state.created_span = arrays[f"user/{user}/created_span"].copy()
+        # _unpack_blob already returned owned, writable copies
+        state.interests = arrays[f"user/{user}/interests"]
+        state.prev_interests = arrays[f"user/{user}/prev_interests"]
+        state.created_span = arrays[f"user/{user}/created_span"]
         state.n_existing = int(arrays[f"user/{user}/n_existing"][0])
         state.expanded_this_span = bool(arrays[f"user/{user}/expanded"][0])
         sa_key = f"user/{user}/sa_weights"
         if sa_key in arrays:
-            state.sa_weights = Parameter(arrays[sa_key].copy())
+            state.sa_weights = Parameter(arrays[sa_key])
 
     for name, rng_state in meta.get("rng", {}).items():
         gen = strategy.random_generators().get(name)

@@ -9,7 +9,7 @@ the capsule axis.
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, no_grad
+from repro.autograd import Tensor, is_grad_enabled, no_grad
 from repro.models import (
     ComiRecDR,
     batched_compute_interests,
@@ -127,3 +127,42 @@ class TestSnapshotRefresh:
         before = state.interests.copy()
         batched_snapshot_interests(model, [(state, [])])
         assert np.allclose(state.interests, before)
+
+
+class TestSnapshotsBuildNoGraph:
+    """A snapshot is a detached read: grad must be off while its interests
+    are computed, or every refresh records a throwaway backward graph."""
+
+    @staticmethod
+    def spy(modes, compute):
+        def recording(*args, **kwargs):
+            modes.append(is_grad_enabled())
+            return compute(*args, **kwargs)
+        return recording
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_refresh_snapshots(self, tiny_split, monkeypatch, batched):
+        from repro.experiments import make_strategy
+        from repro.incremental import TrainConfig
+        from repro.models import batched_train
+
+        config = TrainConfig(seed=0, batched_snapshots=batched)
+        strategy = make_strategy("FT", "ComiRec-DR", tiny_split, config,
+                                 model_kwargs={"dim": 8, "num_interests": 2})
+        modes = []
+        if batched:
+            monkeypatch.setattr(batched_train, "batched_compute_interests",
+                                self.spy(modes, batched_compute_interests))
+        else:
+            monkeypatch.setattr(strategy.model, "compute_interests",
+                                self.spy(modes,
+                                         strategy.model.compute_interests))
+        strategy._refresh_snapshots(tiny_split.pretrain)
+        assert modes and not any(modes)
+
+    def test_snapshot_interests(self, model, rng, monkeypatch):
+        modes = []
+        monkeypatch.setattr(model, "compute_interests",
+                            self.spy(modes, model.compute_interests))
+        model.snapshot_interests(model.init_user_state(0), [1, 2, 3])
+        assert modes == [False]

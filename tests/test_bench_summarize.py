@@ -56,59 +56,6 @@ class TestParse:
         assert summarize.main(["summarize.py"]) == 2
 
 
-CLEAN_LINT = """\
-{"version": 1, "tool": "repro.analysis",
- "summary": {"findings": 0, "parse_errors": 0, "files_scanned": 77,
-             "by_rule": {}},
- "exit_code": 0}
-"""
-
-DIRTY_LINT = """\
-{"version": 1, "tool": "repro.analysis",
- "summary": {"findings": 3, "parse_errors": 1, "files_scanned": 77,
-             "by_rule": {"RA101": 2, "RA301": 1}},
- "exit_code": 1}
-"""
-
-
-class TestLintIngestion:
-    def test_parse_clean_report(self):
-        assert summarize.parse_lint(CLEAN_LINT) == (
-            "static analysis", "clean (77 files; RA6xx 0, RA7xx 0)")
-
-    def test_parse_dirty_report(self):
-        title, cell = summarize.parse_lint(DIRTY_LINT)
-        assert title == "static analysis"
-        assert "4 finding(s)" in cell
-        assert "RA101×2" in cell and "RA301×1" in cell
-
-    def test_markdown_appends_lint_row(self):
-        md = summarize.to_markdown([("A", 1, 1)],
-                                   lint=("static analysis", "clean (77 files)"))
-        assert md.splitlines()[-1] == "| static analysis | clean (77 files) |"
-
-    def test_main_with_lint_flag(self, tmp_path, capsys):
-        bench = tmp_path / "bench.txt"
-        bench.write_text(SAMPLE)
-        lint = tmp_path / "lint.json"
-        lint.write_text(CLEAN_LINT)
-        assert summarize.main(["summarize.py", str(bench),
-                               "--lint", str(lint)]) == 0
-        out = capsys.readouterr().out
-        assert "Table III" in out
-        assert "clean (77 files; RA6xx 0, RA7xx 0)" in out
-
-    def test_main_with_missing_lint_file(self, tmp_path):
-        bench = tmp_path / "bench.txt"
-        bench.write_text(SAMPLE)
-        assert summarize.main(["summarize.py", str(bench),
-                               "--lint", str(tmp_path / "absent.json")]) == 2
-
-    def test_main_lint_flag_without_value(self, tmp_path):
-        bench = tmp_path / "bench.txt"
-        bench.write_text(SAMPLE)
-        assert summarize.main(["summarize.py", str(bench), "--lint"]) == 2
-
 ROBUSTNESS = """\
 {"version": 1, "tool": "repro.robustness",
  "checkpoint": {"size_bytes": 65536, "arrays": 34,
@@ -182,30 +129,3 @@ class TestRobustnessIngestion:
         assert summarize.main(["summarize.py", str(bench),
                                "--robustness", str(report_path)]) == 0
         assert "robustness: checkpoint save" in capsys.readouterr().out
-
-
-class TestLintIngestionEndToEnd:
-    def test_end_to_end_with_real_analyzer_output(self, tmp_path, capsys):
-        from repro.analysis import analyze_paths, render_json
-
-        module = tmp_path / "m.py"
-        module.write_text("x = 1\n")
-        lint = tmp_path / "lint.json"
-        lint.write_text(render_json(analyze_paths([str(module)])))
-        bench = tmp_path / "bench.txt"
-        bench.write_text(SAMPLE)
-        assert summarize.main(["summarize.py", str(bench),
-                               "--lint", str(lint)]) == 0
-        assert ("clean (1 files; RA6xx 0, RA7xx 0)"
-                in capsys.readouterr().out)
-
-
-class TestRuleFamilyRollup:
-    def test_families_grouped_by_hundreds(self):
-        families = summarize._rule_family_counts(
-            {"RA101": 2, "RA601": 1, "RA603": 4, "RA702": 3})
-        assert families == {"RA1xx": 2, "RA6xx": 5, "RA7xx": 3}
-
-    def test_dirty_report_keeps_tracked_families_visible(self):
-        _, cell = summarize.parse_lint(DIRTY_LINT)
-        assert "RA6xx 0, RA7xx 0" in cell

@@ -111,21 +111,12 @@ class TestCLI:
         bad.write_text("import numpy as np\n"
                        "def f():\n"
                        "    return np.random.rand(3)\n")
-        assert main(["lint", str(bad), "--no-baseline"]) == 1
+        assert main(["lint", str(bad)]) == 1
         assert "RA201" in capsys.readouterr().out
-
-    def test_lint_command_json_format(self, tmp_path, capsys):
-        import json
-
-        clean = tmp_path / "m.py"
-        clean.write_text("x = 1\n")
-        assert main(["lint", str(clean), "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["summary"]["findings"] == 0
 
     def test_lint_command_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
-        assert "RA101" in capsys.readouterr().out
+        assert "RA201" in capsys.readouterr().out
 
     def test_checkpoint_info_command(self, tiny_split, tmp_path, capsys):
         from repro.experiments import make_strategy

@@ -24,6 +24,9 @@ class TestGeneration:
             (x.user, x.item, x.timestamp) == (y.user, y.item, y.timestamp)
             for x, y in zip(a.interactions, b.interactions)
         )
+        # every draw comes from the seeded generator, none from numpy's
+        # global state
+        np.testing.assert_array_equal(a.topic_centers, b.topic_centers)
 
     def test_different_seed_differs(self):
         a = generate_world(small(seed=1))

@@ -122,3 +122,18 @@ class TestFig6Driver:
                           k_grid=((2, 1), (5, 0)), sweeps=("K",))
         key = ("K", "books", "ComiRec-DR")
         assert set(result.sweeps[key]) == {(2, 1), (5, 0)}
+
+
+class TestFig7Projection:
+    def test_projects_without_touching_the_snapshots(self, rng):
+        # Figure 7(b) projects each span's stored interest snapshot; a
+        # write into it would move every plotted trajectory point
+        from repro.experiments.fig7 import _pca_2d
+
+        points = rng.normal(size=(4, 6))
+        basis = rng.normal(size=(6, 2))
+        before = points.copy()
+        np.testing.assert_array_equal(_pca_2d(points, basis=basis),
+                                      before @ basis)
+        _pca_2d(points)
+        np.testing.assert_array_equal(points, before)

@@ -45,6 +45,20 @@ class TestEWC:
         moved = strategy._penalty().item()
         assert moved > 0
 
+    def test_penalty_gradient_is_fisher_weighted_distance(self, tiny_split,
+                                                         train_config):
+        # d/dθ of λ/2 Σ F (θ - θ*)² is λ F (θ - θ*): every factor in-graph
+        strategy = EWC(dr_model(tiny_split), tiny_split, train_config)
+        strategy.pretrain()
+        for param in strategy.model.parameters():
+            param.data = param.data + 0.5
+        strategy.model.zero_grad()
+        strategy._penalty().backward()
+        for name, param in strategy.model.named_parameters():
+            expected = strategy.ewc_weight * strategy.fisher[name] * (
+                param.data - strategy.anchors[name])
+            np.testing.assert_allclose(param.grad, expected, rtol=1e-10)
+
     def test_penalty_none_before_fisher(self, tiny_split, train_config):
         strategy = EWC(dr_model(tiny_split), tiny_split, train_config)
         assert strategy._penalty() is None

@@ -207,6 +207,21 @@ class TestADER:
 
 
 class TestIMSR:
+    def test_retention_term_trains_the_interests(self, tiny_split,
+                                                 train_config):
+        # EIR's term (Eq. 10) must reach the student interests; a detached
+        # term would leave IMSR training like fine-tuning
+        from repro.autograd import Tensor
+
+        strategy = IMSR(dr_model(tiny_split), tiny_split, train_config)
+        strategy.pretrain()
+        payload = build_payloads(tiny_split.spans[0], train_config)[0]
+        state = strategy.states[payload.user]
+        state.begin_span()
+        interests = Tensor(state.interests + 0.1, requires_grad=True)
+        strategy._retention_loss(state, interests, payload).backward()
+        assert np.abs(interests.grad).sum() > 0
+
     def test_expansion_happens(self, tiny_split, train_config):
         strategy = IMSR(dr_model(tiny_split), tiny_split, train_config,
                         c1=0.2, c2=0.0)  # c2=0: nothing trimmed back

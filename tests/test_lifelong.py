@@ -55,6 +55,29 @@ class TestMIMN:
         sims_to_item = memory @ emb
         assert sims_to_item.max() >= (emb @ emb) * 0.01
 
+    def test_write_is_the_ntm_update(self, tiny_split, train_config):
+        # content addressing: a softmax of memory . item over the slots;
+        # each slot then moves toward the item by strength x address
+        strategy = self.make(tiny_split, train_config, write_strength=0.5)
+        strategy.pretrain()
+        memory = strategy.memory[0].copy()
+        emb = strategy.model.item_emb.weight.data[5]
+        address = np.exp(memory @ emb - (memory @ emb).max())
+        gate = 0.5 * (address / address.sum())[:, None]
+        strategy._write(0, 5)
+        np.testing.assert_allclose(strategy.memory[0],
+                                   memory * (1.0 - gate) + gate * emb,
+                                   rtol=1e-12)
+
+    def test_memory_padding_is_seeded(self, tiny_split, train_config):
+        memories = []
+        for _ in range(2):
+            strategy = self.make(tiny_split, train_config, memory_slots=8)
+            strategy.pretrain()
+            memories.append(strategy.memory)
+        for user, memory in memories[0].items():
+            np.testing.assert_array_equal(memory, memories[1][user])
+
     def test_score_user_shape(self, tiny_split, train_config):
         strategy = self.make(tiny_split, train_config)
         strategy.pretrain()

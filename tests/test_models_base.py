@@ -12,7 +12,7 @@ from repro.models import (
     batch_sampled_softmax_loss,
     make_model,
 )
-from repro.nn import Adam
+from repro.nn import Adam, Parameter
 
 
 class TestRegistry:
@@ -203,6 +203,19 @@ class TestModelSpecifics:
         check_gradients(weighted_interests,
                         [model.w1, state.sa_weights, model.item_emb.weight])
 
+    def test_sa_attention_finite_at_large_logits(self, rng):
+        # attention logits in the thousands: exp overflows unless the
+        # softmax over items subtracts the column max first
+        model = ComiRecSA(num_items=30, dim=8, num_interests=3, seed=0)
+        state = model.init_user_state(0)
+        state.sa_weights = Parameter(
+            rng.normal(size=state.sa_weights.shape) * 1e4)
+        H = model.compute_interests(state, [1, 2, 3, 5])
+        H.sum().backward()
+        assert np.isfinite(H.data).all()
+        assert np.isfinite(state.sa_weights.grad).all()
+        assert np.isfinite(model.w1.grad).all()
+
     def test_mind_gradient_reaches_bilinear(self):
         model = MIND(num_items=30, dim=8, num_interests=2, seed=0)
         state = model.init_user_state(0)
@@ -259,3 +272,16 @@ class TestSampledSoftmax:
         targets = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
         negs = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
         check_gradients(batch_sampled_softmax_loss, [interests, targets, negs])
+
+    def test_finite_at_large_logits(self, rng):
+        # inputs scaled by 30 put both the attention logits (Eq. 5) and
+        # the softmax logits (Eq. 6) in the thousands; only the max-shift
+        # before each exp keeps the loss and its gradients finite
+        interests = Tensor(rng.normal(size=(3, 4)) * 30, requires_grad=True)
+        targets = Tensor(rng.normal(size=(2, 4)) * 30, requires_grad=True)
+        negs = Tensor(rng.normal(size=(2, 5, 4)) * 30, requires_grad=True)
+        loss = batch_sampled_softmax_loss(interests, targets, negs)
+        loss.backward()
+        assert np.isfinite(loss.item())
+        for t in (interests, targets, negs):
+            assert np.isfinite(t.grad).all()

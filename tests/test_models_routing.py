@@ -10,7 +10,8 @@ from repro.backend.fused import (
     _masked_softmax_items,
     _squash_np,
 )
-from repro.models import attention_scores, b2i_routing, score_items
+from repro.models import (attention_scores, b2i_routing, score_items,
+                          score_items_batch)
 
 
 class TestSquashNp:
@@ -109,6 +110,21 @@ class TestRouting:
         np.testing.assert_allclose(out, exp / exp.sum(axis=2)[:, :, None],
                                    rtol=1e-12)
 
+    def test_softmaxes_finite_at_large_logits(self, rng):
+        # logits in the thousands overflow exp unless each softmax
+        # subtracts its max first
+        logits = rng.normal(size=(2, 7, 3)) * 1e3
+        item_mask = np.arange(7) < np.array([[7], [4]])
+        capsule_mask = np.arange(3) < np.array([[3], [2]])
+        for softmax, mask, axis in (
+                (_masked_softmax_items, None, 1),
+                (_masked_softmax_items, item_mask, 1),
+                (_masked_softmax_capsules, None, 2),
+                (_masked_softmax_capsules, capsule_mask, 2)):
+            out = softmax(logits, mask)
+            assert np.isfinite(out).all()
+            np.testing.assert_allclose(out.sum(axis=axis), 1.0)
+
 
 class TestAggregator:
     def test_aggregation_is_convex_combination(self, rng):
@@ -136,6 +152,23 @@ class TestAggregator:
         items = rng.normal(size=(10, 4))
         scores = score_items(interests, items)
         assert np.allclose(scores, (items @ interests.T).max(axis=1))
+
+    @pytest.mark.parametrize(
+        "scorer", ["score_items", "score_items_batch", "attention_scores"])
+    def test_scoring_leaves_its_inputs_unchanged(self, rng, scorer):
+        # callers pass the live item table and the stored interest
+        # snapshots; a write into either changes every later score
+        interests = rng.normal(size=(3, 4))
+        items = rng.normal(size=(10, 4))
+        interests_before, items_before = interests.copy(), items.copy()
+        if scorer == "score_items":
+            score_items(interests, items)
+        elif scorer == "score_items_batch":
+            score_items_batch([interests, interests[:1]], items)
+        else:
+            attention_scores(interests, items[2])
+        np.testing.assert_array_equal(interests, interests_before)
+        np.testing.assert_array_equal(items, items_before)
 
     def test_score_items_empty_interests(self, rng):
         scores = score_items(np.zeros((0, 4)), rng.normal(size=(5, 4)))

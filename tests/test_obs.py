@@ -82,6 +82,9 @@ class TestHistogram:
 
 
 class TestMetricsRegistry:
+    def test_histogram_defaults_to_the_default_buckets(self):
+        assert MetricsRegistry().histogram("h").edges == DEFAULT_BUCKETS
+
     def test_create_or_get_and_labels(self):
         reg = MetricsRegistry()
         a = reg.counter("c", mode="fast")
@@ -286,6 +289,15 @@ class TestLoggingBridge:
 # summaries
 # ---------------------------------------------------------------------- #
 class TestSummarize:
+    def test_decision_events_keeps_every_event_unless_named(self):
+        from repro.obs.summary import decision_events
+
+        events = [{"kind": "event", "name": "stream.committed"},
+                  {"kind": "span", "name": "epoch"},
+                  {"kind": "event", "name": "pit.trim"}]
+        assert decision_events(events) == [events[0], events[2]]
+        assert decision_events(events, "pit.trim") == [events[2]]
+
     def test_missing_trace_raises(self, tmp_path):
         with pytest.raises(TraceError, match="no trace"):
             summarize_trace(tmp_path / "nope")

@@ -102,6 +102,24 @@ class TestRoundTrip:
             assert np.allclose(state.sa_weights.data,
                                fresh.states[user].sa_weights.data)
 
+    def test_restored_user_arrays_are_owned_and_writable(
+            self, tiny_split, fast_config, tmp_path):
+        strategy = build(tiny_split, fast_config, model="ComiRec-SA")
+        strategy.pretrain()
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(strategy, path)
+        fresh = build(tiny_split, fast_config, model="ComiRec-SA")
+        load_checkpoint(fresh, path)
+        restored = [arr for state in fresh.states.values()
+                    for arr in (state.interests, state.prev_interests,
+                                state.created_span, state.sa_weights.data)]
+        # each owns its memory: none is a view into the loaded blob
+        assert all(arr.flags.owndata and arr.flags.writeable
+                   for arr in restored)
+        for i, a in enumerate(restored):
+            for b in restored[i + 1:]:
+                assert not np.shares_memory(a, b)
+
     def test_resume_training_after_restore(self, tiny_split, fast_config,
                                            tmp_path):
         strategy = build(tiny_split, fast_config)

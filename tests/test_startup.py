@@ -1,5 +1,6 @@
 """Start-up guard: ``import repro`` and ordinary runs stay free of scipy
-and of the static linter.
+and of the static linter, and ``python -m repro`` runs the command it is
+given.
 
 ``scipy.stats`` costs about half a second and 65 MB to import, and only
 the Table III significance test uses it; the linter is only used by
@@ -111,8 +112,14 @@ def test_linter_is_still_an_attribute_and_a_command(tmp_path):
 
     clean = tmp_path / "clean.py"
     clean.write_text('"""A clean module."""\n\nVALUE = 1\n')
-    lint = run_python("-m", "repro", "lint", str(clean), "--no-baseline")
+    lint = run_python("-m", "repro", "lint", str(clean))
     assert lint.returncode == 0, lint.stdout + lint.stderr
+
+
+def test_module_entry_point_runs_the_named_command():
+    proc = run_python("-m", "repro", "list")
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert "strategies:" in proc.stdout and "IMSR" in proc.stdout
 
 
 def test_paired_t_test_imports_scipy_on_first_call():

@@ -77,7 +77,7 @@ class ReferenceAdam:
             self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * grad * grad
             m_hat = self.m[i] / (1 - self.beta1 ** t)
             v_hat = self.v[i] / (1 - self.beta2 ** t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)  # repro: noqa[RA101] the optimizer update under test
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def grad_like(rng: np.random.Generator, data: np.ndarray) -> np.ndarray:
@@ -343,7 +343,7 @@ class TestGradientOwnership:
         out.backward(upstream)
         x_grad = x.grad.copy()
         # clip_grad_norm scales a row-sparse gradient's touched rows in place
-        w.grad[[2, 5, 7]] *= 0.25  # repro: noqa[RA101] the mutation under test
+        w.grad[[2, 5, 7]] *= 0.25  # the mutation under test
         assert same_bits(x.grad, x_grad)
         assert same_bits(upstream, upstream_before)
         assert not np.shares_memory(w.grad, x.grad)
@@ -352,7 +352,7 @@ class TestGradientOwnership:
         a = Tensor(np.ones((2, 3)), requires_grad=True)
         upstream = np.arange(6.0)
         a.reshape(6).backward(upstream)
-        a.grad *= 2.0  # repro: noqa[RA101] the mutation under test
+        a.grad *= 2.0  # the mutation under test
         assert same_bits(upstream, np.arange(6.0))
 
     def test_clip_after_backward_matches_clip_on_reference_grads(self):
@@ -374,3 +374,71 @@ class TestGradientOwnership:
         (n1, t1, d1), (n2, t2, d2) = results
         assert n1 == n2 and n1 > 1.0
         assert same_bits(t1, t2) and same_bits(d1, d2)
+
+
+# ---------------------------------------------------------------------- #
+# the strategy's optimizer step
+# ---------------------------------------------------------------------- #
+class TestStrategyStep:
+    def test_step_is_the_documented_sequence_and_nothing_else(
+            self, tiny_split):
+        """``_step`` is ``zero_grad`` -> ``backward`` -> ``clip_grad_norm``
+        -> ``step`` -> padding-row reset; done by hand on an identical
+        strategy, the same sequence must leave the same bits."""
+        from repro.experiments import make_strategy
+        from repro.incremental import TrainConfig, build_payloads
+
+        config = TrainConfig(epochs_pretrain=1, num_negatives=4, seed=0,
+                             grad_clip=0.5)
+        results = []
+        for by_hand in (False, True):
+            strategy = make_strategy(
+                "FT", "ComiRec-DR", tiny_split, config,
+                model_kwargs={"dim": 8, "num_interests": 2})
+            payloads = build_payloads(tiny_split.pretrain, config)
+            opt = strategy._optimizer(payloads)
+            for payload in payloads[:3]:
+                state = strategy.states[payload.user]
+                interests = strategy.model.compute_interests(
+                    state, payload.history)
+                negatives = np.stack(
+                    [strategy.sampler.sample(t) for t in payload.targets])
+                loss = strategy.model.loss_targets(
+                    interests, payload.targets, negatives)
+                if by_hand:
+                    opt.zero_grad()
+                    loss.backward()
+                    clip_grad_norm(opt.params, config.grad_clip)
+                    opt.step()
+                    strategy.model.item_emb.zero_padding_row()
+                else:
+                    assert strategy._step(loss, opt, payload.user)
+            results.append([p.data for p in strategy.model.parameters()])
+        for ours, theirs in zip(*results):
+            assert same_bits(ours, theirs)
+
+    @pytest.mark.parametrize("group", [1, 2])
+    def test_a_step_stores_the_interests_it_extracted(self, tiny_split,
+                                                      group):
+        """The snapshot a step leaves is the forward it trained on, per
+        user and per micro-batch."""
+        from repro.autograd import no_grad
+        from repro.experiments import make_strategy
+        from repro.incremental import TrainConfig, build_payloads
+        from repro.models import batched_compute_interests
+
+        config = TrainConfig(num_negatives=4, seed=0)
+        strategy = make_strategy("FT", "ComiRec-DR", tiny_split, config,
+                                 model_kwargs={"dim": 8, "num_interests": 2})
+        payloads = build_payloads(tiny_split.pretrain, config)[:group]
+        jobs = [(strategy.states[p.user], p.history) for p in payloads]
+        with no_grad():
+            extracted, _, ks = batched_compute_interests(strategy.model, jobs)
+        opt = strategy._optimizer(payloads)
+        if group == 1:
+            assert strategy._train_user(payloads[0], 0, opt)
+        else:
+            strategy._train_group(payloads, 0, opt)
+        for b, (state, _) in enumerate(jobs):
+            np.testing.assert_allclose(state.interests,
+                                       extracted.data[b, :ks[b]], atol=1e-9)

@@ -221,7 +221,8 @@ class TestRecoveryExhaustion:
         def always_poisons(user, item, history):
             took_step = poisoned_train(user, item, history)
             if pipeline.mode == MODE_DEGRADED and took_step:
-                strategy.model.item_emb.weight.data[1, 0] = float("nan")  # repro: noqa[RA101] deliberate poisoning to exhaust recovery
+                # deliberate poisoning to exhaust recovery
+                strategy.model.item_emb.weight.data[1, 0] = float("nan")
             return took_step
 
         pipeline._train_one = always_poisons

@@ -12,9 +12,6 @@ Layered public API:
 * :mod:`repro.lifelong` — MIMN and LimaRec baselines;
 * :mod:`repro.eval` — HR/NDCG, span protocol, significance tests;
 * :mod:`repro.experiments` — drivers regenerating every table and figure;
-* :mod:`repro.analysis` — static analysis enforcing seeded randomness
-  (``repro lint``); imported on first access of ``repro.analysis``,
-  since no training, evaluation or streaming run uses it;
 * :mod:`repro.persistence` — crash-safe journaled checkpoints (atomic
   writes, SHA-256 manifests, resume);
 * :mod:`repro.faults` — seeded, deterministic fault injection proving
@@ -22,12 +19,10 @@ Layered public API:
 * :mod:`repro.obs` — structured tracing, metrics, and decision telemetry
   (hierarchical spans, JSONL traces, ``repro trace summarize``).
 
-``import repro`` loads neither the linter nor scipy: scipy is imported
-by :func:`repro.eval.paired_t_test`, the Table III significance test,
-on its first call.
+``import repro`` does not load scipy: it is imported by
+:func:`repro.eval.paired_t_test`, the Table III significance test, on
+its first call.
 """
-
-import importlib
 
 from . import autograd, backend, data, eval, experiments, incremental, lifelong, models, nn
 from . import faults, obs, persistence
@@ -35,7 +30,6 @@ from . import faults, obs, persistence
 __version__ = "1.0.0"
 
 __all__ = [
-    "analysis",
     "autograd",
     "backend",
     "nn",
@@ -51,9 +45,3 @@ __all__ = [
     "__version__",
 ]
 
-
-def __getattr__(name: str):
-    """Import :mod:`repro.analysis` on first attribute access."""
-    if name == "analysis":
-        return importlib.import_module(f"{__name__}.analysis")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

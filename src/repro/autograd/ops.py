@@ -104,7 +104,3 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     diff = a - b
     return (diff * diff).mean()
 
-
-def dot_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise dot products of two (n, d) tensors -> (n,)."""
-    return (a * b).sum(axis=-1)

@@ -399,11 +399,13 @@ class Tensor:
         a = self
         data = self.data.sum(axis=axis, keepdims=keepdims)
 
+        # the broadcast views are read-only; backward() copies a gradient
+        # it did not build before storing it on a leaf
         def grad_fn(g: np.ndarray) -> np.ndarray:
             if axis is None:
-                return np.broadcast_to(g, a.shape).copy() if np.ndim(g) == 0 else np.full(a.shape, g)
+                return np.broadcast_to(g, a.shape) if np.ndim(g) == 0 else np.full(a.shape, g)
             g_expanded = g if keepdims else np.expand_dims(g, axis)
-            return np.broadcast_to(g_expanded, a.shape).copy()
+            return np.broadcast_to(g_expanded, a.shape)
 
         return Tensor._make(data, [(a, grad_fn)])
 

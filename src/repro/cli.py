@@ -16,9 +16,6 @@ Commands
 ``checkpoint-info PATH [--verify]``
     Inspect a checkpoint written by :mod:`repro.persistence`; with
     ``--verify``, re-hash every array against its manifest.
-``lint [ARGS...]``
-    Run the repository's static-analysis rules (:mod:`repro.analysis`);
-    the arguments go to ``python -m repro.analysis`` unchanged.
 ``trace summarize DIR``
     Render the spans, decision events, and metrics of a trace written
     with ``run --trace-dir`` (:mod:`repro.obs`); ``--json`` emits the
@@ -117,11 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ckpt.add_argument("path")
     p_ckpt.add_argument("--verify", action="store_true",
                         help="re-hash every array against the manifest")
-
-    # main() hands everything after ``lint`` to repro.analysis.cli
-    sub.add_parser("lint", add_help=False,
-                   help="run the static-analysis rules (`repro lint "
-                        "--help` lists the analyzer's options)")
 
     p_trace = sub.add_parser("trace", help="inspect an observability trace")
     trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
@@ -448,11 +440,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv[:1] == ["lint"]:
-        from .analysis.cli import main as analysis_main
-
-        return analysis_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.command == "list":
         return cmd_list()

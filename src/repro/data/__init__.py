@@ -9,7 +9,7 @@ from .schema import (
 )
 from .synthetic import InterestWorld, WorldConfig, generate_world
 from .timespans import split_time_spans
-from .sampler import NegativeSampler, TrainExample, iterate_minibatches, span_training_examples
+from .sampler import NegativeSampler
 from .datasets import ALPHA, DATASET_NAMES, T_SPANS, dataset_config, load_custom, load_dataset
 from .stats import DatasetStats, compute_stats, interest_reappearance_rate
 from .loaders import LoadedDataset, load_amazon_ratings, load_taobao_userbehavior
@@ -25,9 +25,6 @@ __all__ = [
     "generate_world",
     "split_time_spans",
     "NegativeSampler",
-    "TrainExample",
-    "iterate_minibatches",
-    "span_training_examples",
     "ALPHA",
     "DATASET_NAMES",
     "T_SPANS",

@@ -1,4 +1,4 @@
-"""Negative sampling and training-example iteration.
+"""Negative sampling.
 
 The sampled-softmax loss (Eq. 6) contrasts the target item against a small
 uniformly sampled negative set ``I' ⊂ I \\ {i_a}``.
@@ -6,21 +6,9 @@ uniformly sampled negative set ``I' ⊂ I \\ {i_a}``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
-
-from .schema import SpanDataset
-
-
-@dataclass
-class TrainExample:
-    """One training instance: a history prefix and its next-item target."""
-
-    user: int
-    history: List[int]
-    target: int
 
 
 class NegativeSampler:
@@ -83,49 +71,3 @@ class NegativeSampler:
             collisions = negatives == targets[:, None]
         return negatives
 
-
-def span_training_examples(
-    span: SpanDataset,
-    histories: Optional[dict] = None,
-    max_targets_per_user: Optional[int] = None,
-) -> List[TrainExample]:
-    """Build next-item training examples from one span.
-
-    For a user's in-span training items ``[i1 ... in]``, every position
-    (starting at the second) becomes a target with all preceding in-span
-    items — prepended with the user's carried-over history (``histories``,
-    usually the tail of prior spans' items) — as the input sequence.
-    """
-    examples: List[TrainExample] = []
-    for user in span.user_ids():
-        data = span.users[user]
-        carried = list(histories.get(user, [])) if histories else []
-        items = data.train_items
-        if not items:
-            continue
-        positions = range(1, len(items)) if (carried or len(items) > 1) else range(0)
-        user_examples: List[TrainExample] = []
-        if carried:
-            # the first in-span item is also predictable from carried history
-            user_examples.append(TrainExample(user, list(carried), items[0]))
-        for pos in range(1, len(items)):
-            history = carried + items[:pos]
-            user_examples.append(TrainExample(user, history, items[pos]))
-        if max_targets_per_user is not None and len(user_examples) > max_targets_per_user:
-            user_examples = user_examples[-max_targets_per_user:]
-        examples.extend(user_examples)
-    return examples
-
-
-def iterate_minibatches(
-    examples: Sequence[TrainExample],
-    batch_size: int,
-    rng: Optional[np.random.Generator] = None,
-    shuffle: bool = True,
-) -> Iterator[List[TrainExample]]:
-    """Yield shuffled mini-batches of examples."""
-    order = np.arange(len(examples))
-    if shuffle:
-        (rng or np.random.default_rng(0)).shuffle(order)
-    for start in range(0, len(order), batch_size):
-        yield [examples[i] for i in order[start:start + batch_size]]

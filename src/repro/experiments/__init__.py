@@ -10,8 +10,7 @@ from .reporting import (
     shape_check,
 )
 from .registry import EXPERIMENTS, Experiment, get_experiment
-from .plotting import ascii_bars, ascii_heatmap, ascii_line_chart
-from .tuning import GridSearchResult, TrialResult, grid_search, validation_score
+from .plotting import ascii_line_chart
 from .artifacts import export_result, load_artifact
 from .table3 import PAPER_TABLE3, Table3Result, run_table3
 from .table4 import PAPER_TABLE4, Table4Result, run_table4
@@ -40,13 +39,7 @@ __all__ = [
     "EXPERIMENTS",
     "Experiment",
     "get_experiment",
-    "ascii_bars",
-    "ascii_heatmap",
     "ascii_line_chart",
-    "GridSearchResult",
-    "TrialResult",
-    "grid_search",
-    "validation_score",
     "export_result",
     "load_artifact",
     "PAPER_TABLE3",

@@ -1,9 +1,10 @@
 """JSON artifact export for experiment results.
 
 Every driver result exposes ``rows()``/``format()``/``shape_checks()``;
-this module serializes them to a JSON file so a benchmark run leaves a
-machine-readable record next to the printed tables (EXPERIMENTS.md is
-derived from these).
+this module serializes them to a JSON file, a machine-readable record
+of a result next to its printed table.  ``EXPERIMENTS.md`` is not built
+from these files: ``benchmarks/summarize.py`` parses the printed
+shape-check output instead.
 """
 
 from __future__ import annotations

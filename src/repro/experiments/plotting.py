@@ -1,14 +1,13 @@
-"""Terminal plotting: ASCII line charts and heatmaps for the figures.
+"""Terminal plotting: ASCII line charts for the figures.
 
-The paper's figures are curves and heatmaps; this environment has no
-display, so the benchmark harness renders them as text.  The renderers
-are deliberately dependency-free and deterministic so figure output can
-be diffed across runs.
+With no display, the benchmark harness renders the paper's per-span
+curves (Fig. 4) as text.  The renderer is dependency-free and
+deterministic so figure output can be diffed across runs.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -72,55 +71,3 @@ def ascii_line_chart(
     lines.append(f"{' ' * pad}  {legend}" + (f"   [{y_label}]" if y_label else ""))
     return "\n".join(lines)
 
-
-def ascii_heatmap(
-    matrix: np.ndarray,
-    row_labels: Optional[Sequence[str]] = None,
-    col_labels: Optional[Sequence[str]] = None,
-    title: str = "",
-) -> str:
-    """Render a matrix as a shaded ASCII heatmap (darker = larger)."""
-    shades = " .:-=+*#%@"
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.size == 0:
-        return "(empty heatmap)"
-    lo, hi = float(matrix.min()), float(matrix.max())
-    span = hi - lo if hi > lo else 1.0
-
-    rows, cols = matrix.shape
-    row_labels = list(row_labels) if row_labels else [str(i) for i in range(rows)]
-    col_labels = list(col_labels) if col_labels else [str(j) for j in range(cols)]
-    label_pad = max(len(l) for l in row_labels)
-
-    lines = []
-    if title:
-        lines.append(title)
-    header = " " * (label_pad + 1) + " ".join(c[:2].rjust(2) for c in col_labels)
-    lines.append(header)
-    for i in range(rows):
-        cells = []
-        for j in range(cols):
-            level = int((matrix[i, j] - lo) / span * (len(shades) - 1))
-            cells.append(shades[level] * 2)
-        lines.append(f"{row_labels[i].rjust(label_pad)} " + " ".join(cells))
-    lines.append(f"scale: '{shades[0]}'={lo:.3f} .. '{shades[-1]}'={hi:.3f}")
-    return "\n".join(lines)
-
-
-def ascii_bars(
-    values: Mapping[str, float],
-    width: int = 40,
-    title: str = "",
-) -> str:
-    """Render a labelled horizontal bar chart (for Fig. 2-style profiles)."""
-    if not values:
-        return "(no bars)"
-    lo = min(min(values.values()), 0.0)
-    hi = max(max(values.values()), 0.0)
-    span = (hi - lo) or 1.0
-    label_pad = max(len(k) for k in values)
-    lines = [title] if title else []
-    for name, value in values.items():
-        filled = int(round((value - lo) / span * width))
-        lines.append(f"{name.rjust(label_pad)} |{'#' * filled:<{width}}| {value:.3f}")
-    return "\n".join(lines)

@@ -79,10 +79,7 @@ class FullRetrain(IncrementalStrategy):
         elapsed = time.perf_counter() - start
         # snapshot from each user's full cumulative sequence
         for payload in payloads:
-            state = self.states[payload.user]
-            interests = self.model.compute_interests(
-                state, payload.history + payload.targets
-            )
-            state.interests = interests.data.copy()
+            self.model.snapshot_interests(self.states[payload.user],
+                                          payload.history + payload.targets)
         self.train_times[t] = elapsed
         return elapsed

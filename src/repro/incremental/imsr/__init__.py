@@ -1,15 +1,8 @@
 """IMSR: existing-interests retainer, new-interests detector, trimmer."""
 
 from .eir import euclidean_retention_loss, sigmoid_distillation_loss
-from .nid import (
-    detect_new_interests,
-    kl_from_uniform,
-    mean_puzzlement,
-    puzzlement,
-    puzzled_users,
-)
+from .nid import kl_from_uniform, mean_puzzlement, puzzlement
 from .pit import (
-    orthogonal_residual,
     project_new_interests,
     projection_matrix,
     redundancy_report,
@@ -25,10 +18,7 @@ __all__ = [
     "puzzlement",
     "kl_from_uniform",
     "mean_puzzlement",
-    "detect_new_interests",
-    "puzzled_users",
     "projection_matrix",
-    "orthogonal_residual",
     "project_new_interests",
     "trim_mask",
     "redundancy_report",

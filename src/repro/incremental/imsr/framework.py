@@ -127,8 +127,8 @@ class IMSR(IncrementalStrategy):
             and not state.expanded_this_span
             and state.num_interests + self.delta_k <= self.max_interests
         ):
-            # the NID verdict is mean_puzzlement > c1 (detect_new_interests);
-            # computing the score directly lets telemetry record it
+            # Eq. 14's verdict is mean_puzzlement > c1; computing the
+            # score here lets telemetry record it
             score = mean_puzzlement(item_embs, state.interests)
             obs.observe("nid.puzzlement", score)
             if score > self.c1:
@@ -200,7 +200,3 @@ class IMSR(IncrementalStrategy):
     # ------------------------------------------------------------------ #
     def mean_interest_count(self) -> float:
         return float(np.mean([s.num_interests for s in self.states.values()]))
-
-    def user_puzzlement(self, user: int, items: List[int]) -> float:
-        item_embs = self.model.item_emb.weight.data[items]
-        return mean_puzzlement(item_embs, self.states[user].interests)

@@ -23,8 +23,6 @@ accordingly (see DESIGN.md / EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 import numpy as np
 
 
@@ -58,22 +56,3 @@ def mean_puzzlement(item_embs: np.ndarray, interests: np.ndarray) -> float:
     """Average puzzlement of a user's items (the quantity in Eq. 14)."""
     return float(puzzlement(item_embs, interests).mean())
 
-
-def detect_new_interests(item_embs: np.ndarray, interests: np.ndarray,
-                         c1: float) -> bool:
-    """Eq. 14: should this user receive new interest capsules?"""
-    return mean_puzzlement(item_embs, interests) > c1
-
-
-def puzzled_users(
-    user_item_embs: Dict[int, np.ndarray],
-    user_interests: Dict[int, np.ndarray],
-    c1: float,
-) -> List[int]:
-    """The puzzled set ``U_p^t``: users whose mean puzzlement exceeds c1."""
-    return [
-        user
-        for user, embs in user_item_embs.items()
-        if user in user_interests
-        and detect_new_interests(embs, user_interests[user], c1)
-    ]

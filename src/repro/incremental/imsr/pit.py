@@ -41,15 +41,6 @@ def projection_matrix(existing: np.ndarray) -> np.ndarray:
     return basis.T @ basis
 
 
-def orthogonal_residual(new: np.ndarray, existing: np.ndarray) -> np.ndarray:
-    """Eq. 16 applied: the component of each new vector orthogonal to the
-    existing interests' plane (numpy, no grad)."""
-    if existing.size == 0:
-        return new.copy()
-    proj = projection_matrix(existing)
-    return new - new @ proj.T
-
-
 def project_new_interests(interests: Tensor, n_existing: int) -> Tensor:
     """In-graph PIT projection of the rows ``[n_existing:]``.
 

@@ -14,7 +14,7 @@ from typing import Callable, Dict
 import numpy as np
 
 from ...autograd import Tensor
-from ...autograd.ops import log_softmax
+from ...autograd.ops import cross_entropy_with_soft_targets
 from .eir import euclidean_retention_loss, sigmoid_distillation_loss
 
 RetainerFn = Callable[..., Tensor]
@@ -39,8 +39,7 @@ def kd1_interest_softmax(
     # the teacher distribution is a constant (LwF)
     teacher_logits = (target_embs.data @ prev_interests.T) / temperature
     teacher = Tensor(_teacher_softmax(teacher_logits, axis=1))
-    logp = log_softmax(student_logits, axis=1)
-    return -(teacher * logp).sum(axis=1).mean()
+    return cross_entropy_with_soft_targets(student_logits, teacher, axis=1)
 
 
 def kd2_item_softmax(
@@ -57,8 +56,7 @@ def kd2_item_softmax(
     # the teacher distribution is a constant (KD)
     teacher_logits = (prev_interests @ target_embs.data.T) / temperature
     teacher = Tensor(_teacher_softmax(teacher_logits, axis=1))
-    logp = log_softmax(student_logits, axis=1)
-    return -(teacher * logp).sum(axis=1).mean()
+    return cross_entropy_with_soft_targets(student_logits, teacher, axis=1)
 
 
 def kd3_scaled_softmax(

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..autograd import Tensor, no_grad
+from ..autograd import Tensor
 from ..data.sampler import NegativeSampler
 from ..data.schema import SpanDataset, TemporalSplit
 from ..faults import fire as _fault_probe
@@ -97,15 +97,6 @@ def build_payloads(span: SpanDataset, config: TrainConfig,
             targets = targets[-config.max_targets:]
         payloads.append(UserPayload(user=user, history=items[:cut], targets=targets))
     return payloads
-
-
-def merge_payload_items(*payload_lists: Sequence[UserPayload]) -> Dict[int, List[int]]:
-    """Per-user concatenation of history+targets across payload lists."""
-    merged: Dict[int, List[int]] = {}
-    for payloads in payload_lists:
-        for p in payloads:
-            merged.setdefault(p.user, []).extend(p.history + p.targets)
-    return merged
 
 
 def encode_json_state(payload) -> np.ndarray:
@@ -482,13 +473,6 @@ class IncrementalStrategy:
                                            interests_hook=interests_hook)
                 return
         for user in span.user_ids():
-            items = span.users[user].all_items
-            if not items:
-                continue
-            state = self.states[user]
-            # snapshots are detached reads — skip graph construction
-            with no_grad():
-                interests = self.model.compute_interests(state, items)
-                if interests_hook is not None:
-                    interests = interests_hook(state, interests)
-            state.interests = interests.data.copy()
+            self.model.snapshot_interests(self.states[user],
+                                          span.users[user].all_items,
+                                          interests_hook=interests_hook)

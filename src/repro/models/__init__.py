@@ -7,7 +7,6 @@ from .sampled_softmax import batch_sampled_softmax_loss
 from .mind import MIND
 from .comirec_dr import ComiRecDR
 from .comirec_sa import ComiRecSA
-from .controllable import category_diversity, greedy_controllable_selection, recommend
 from .batched_train import (
     batched_compute_interests,
     batched_loss_targets,
@@ -42,9 +41,6 @@ __all__ = [
     "score_items_batch",
     "b2i_routing",
     "batch_sampled_softmax_loss",
-    "recommend",
-    "greedy_controllable_selection",
-    "category_diversity",
     "batched_compute_interests",
     "batched_loss_targets",
     "batched_snapshot_interests",

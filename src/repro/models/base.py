@@ -198,10 +198,17 @@ class MSRModel(Module):
         """Retrieval scores of every catalog item for one user (no grad)."""
         return score_items(state.interests, self.item_emb.weight.data)
 
-    def snapshot_interests(self, state: UserState, item_seq: Sequence[int]) -> None:
-        """Recompute and store (detached) interests from ``item_seq``."""
+    def snapshot_interests(self, state: UserState, item_seq: Sequence[int],
+                           interests_hook=None) -> None:
+        """Recompute and store (detached) interests from ``item_seq``.
+
+        ``interests_hook(state, interests) -> interests`` (IMSR's PIT) is
+        applied before storing, as in ``batched_snapshot_interests``.
+        """
         if len(item_seq) == 0:
             return
         with no_grad():
             interests = self.compute_interests(state, item_seq)
+            if interests_hook is not None:
+                interests = interests_hook(state, interests)
         state.interests = interests.data.copy()

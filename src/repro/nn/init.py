@@ -16,12 +16,6 @@ def xavier_uniform(shape, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def xavier_normal(shape, rng: np.random.Generator) -> np.ndarray:
-    fan_in, fan_out = _fans(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
 def normal(shape, rng: np.random.Generator, std: float = 0.1) -> np.ndarray:
     """Gaussian init; the paper initializes interest vectors as N(0, I)."""
     return rng.normal(0.0, std, size=shape)

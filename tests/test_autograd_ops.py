@@ -130,12 +130,6 @@ class TestLosses:
         b = Tensor(a.data + 1.0)
         assert ops.mse(a, b).item() == pytest.approx(1.0)
 
-    def test_dot_rows(self, rng):
-        a = rng.normal(size=(4, 3))
-        b = rng.normal(size=(4, 3))
-        out = ops.dot_rows(Tensor(a), Tensor(b)).data
-        assert np.allclose(out, (a * b).sum(axis=1))
-
 
 class TestStructuralOps:
     def test_concat_forward(self, rng):

@@ -136,6 +136,23 @@ class TestBackward:
         y.backward()
         assert np.allclose(x.grad, [1.0])
 
+    @pytest.mark.parametrize("reduce", [
+        lambda t: t.sum(),
+        lambda t: t.sum(axis=0),
+        lambda t: t.sum(axis=1, keepdims=True),
+        lambda t: t.mean(),
+    ], ids=["sum", "sum-axis0", "sum-axis1-keepdims", "mean"])
+    def test_leaf_grad_through_a_reduction_is_owned(self, reduce):
+        # sum's backward hands on a read-only broadcast view; the leaf
+        # must still get an array of its own that callers may scale
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        out = reduce(x)
+        out.backward(np.ones_like(out.data))
+        assert x.grad.flags.writeable and x.grad.base is None
+        expected = x.grad * 2.0
+        x.grad *= 2.0
+        np.testing.assert_array_equal(x.grad, expected)
+
 
 class TestGradientCorrectness:
     """Analytic vs central-difference gradients for every op."""

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, is_grad_enabled, no_grad
+from repro.incremental.imsr import project_new_interests
 from repro.models import (
     ComiRecDR,
     batched_compute_interests,
@@ -108,16 +109,23 @@ class TestValidation:
             batched_compute_interests(model, [])
 
 
+def per_user_snapshots(model, jobs, interests_hook=None):
+    """Each job's interests as the per-user refresh stores them, taken on
+    copies of the states."""
+    reference = []
+    for state, seq in jobs:
+        clone = model.init_user_state(state.user)
+        clone.interests = state.interests.copy()
+        clone.created_span = state.created_span.copy()
+        model.snapshot_interests(clone, seq, interests_hook=interests_hook)
+        reference.append(clone.interests)
+    return reference
+
+
 class TestSnapshotRefresh:
     def test_matches_per_user_snapshot(self, model, rng):
         jobs = make_jobs(model, rng)
-        reference = []
-        for state, seq in jobs:
-            clone = model.init_user_state(state.user)
-            clone.interests = state.interests.copy()
-            clone.created_span = state.created_span.copy()
-            model.snapshot_interests(clone, seq)
-            reference.append(clone.interests)
+        reference = per_user_snapshots(model, jobs)
         batched_snapshot_interests(model, jobs)
         for (state, _), expected in zip(jobs, reference):
             assert np.allclose(state.interests, expected, atol=1e-10)
@@ -127,6 +135,23 @@ class TestSnapshotRefresh:
         before = state.interests.copy()
         batched_snapshot_interests(model, [(state, [])])
         assert np.allclose(state.interests, before)
+
+    def test_hook_applies_on_both_paths(self, model, rng):
+        """IMSR refreshes through its PIT hook; both refreshes project each
+        user's new interests before storing them."""
+        def pit(state, interests):
+            return project_new_interests(interests, state.n_existing)
+
+        jobs = make_jobs(model, rng)
+        assert any(state.num_interests > state.n_existing
+                   for state, _ in jobs)
+        reference = per_user_snapshots(model, jobs, interests_hook=pit)
+        batched_snapshot_interests(model, jobs, interests_hook=pit)
+        for (state, _), expected in zip(jobs, reference):
+            assert np.allclose(state.interests, expected, atol=1e-10)
+            new = state.interests[state.n_existing:]
+            assert np.allclose(new @ state.interests[:state.n_existing].T,
+                               0.0, atol=1e-8)
 
 
 class TestSnapshotsBuildNoGraph:

@@ -1,10 +1,9 @@
-"""Tests for the CLI and the ASCII plotting helpers."""
+"""Tests for the CLI and the ASCII line chart."""
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments.plotting import ascii_bars, ascii_heatmap, ascii_line_chart
+from repro.experiments.plotting import ascii_line_chart
 
 
 class TestPlotting:
@@ -31,27 +30,6 @@ class TestPlotting:
     def test_line_chart_length_mismatch(self):
         with pytest.raises(ValueError):
             ascii_line_chart({"a": [1.0], "b": [1.0, 2.0]})
-
-    def test_heatmap_scale_line(self):
-        out = ascii_heatmap(np.array([[0.0, 1.0], [0.5, 0.25]]))
-        assert "scale:" in out
-        assert "0.000" in out and "1.000" in out
-
-    def test_heatmap_labels(self):
-        out = ascii_heatmap(np.eye(2), row_labels=["u1", "u2"],
-                            col_labels=["i1", "i2"])
-        assert "u1" in out and "u2" in out
-
-    def test_heatmap_empty(self):
-        assert ascii_heatmap(np.zeros((0, 0))) == "(empty heatmap)"
-
-    def test_bars_render_values(self):
-        out = ascii_bars({"skirt": 0.9, "lego": 0.1})
-        assert "skirt" in out and "0.900" in out
-
-    def test_bars_negative_values(self):
-        out = ascii_bars({"a": -1.0, "b": 1.0})
-        assert "-1.000" in out
 
 
 class TestCLI:
@@ -98,25 +76,6 @@ class TestCLI:
         assert main(["experiment", "table2", "--scale", "0.15"]) == 0
         out = capsys.readouterr().out
         assert "pre-training" in out
-
-    def test_lint_command_clean_on_src(self, capsys):
-        from pathlib import Path
-
-        src = Path(__file__).resolve().parents[1] / "src"
-        assert main(["lint", str(src)]) == 0
-        assert "clean" in capsys.readouterr().out
-
-    def test_lint_command_flags_violation(self, tmp_path, capsys):
-        bad = tmp_path / "m.py"
-        bad.write_text("import numpy as np\n"
-                       "def f():\n"
-                       "    return np.random.rand(3)\n")
-        assert main(["lint", str(bad)]) == 1
-        assert "RA201" in capsys.readouterr().out
-
-    def test_lint_command_list_rules(self, capsys):
-        assert main(["lint", "--list-rules"]) == 0
-        assert "RA201" in capsys.readouterr().out
 
     def test_checkpoint_info_command(self, tiny_split, tmp_path, capsys):
         from repro.experiments import make_strategy

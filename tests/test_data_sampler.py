@@ -1,11 +1,9 @@
-"""Unit tests for negative sampling and training-example construction."""
+"""Unit tests for negative sampling."""
 
 import numpy as np
 import pytest
 
-from repro.data import NegativeSampler, iterate_minibatches, span_training_examples
-from repro.data.schema import SpanDataset, UserSpanData
-from repro.data.sampler import TrainExample
+from repro.data import NegativeSampler
 
 
 class TestNegativeSampler:
@@ -45,60 +43,3 @@ class TestNegativeSampler:
         others = counts[:9]
         assert others.min() > 0.5 * others.mean()
 
-
-def make_span(user_items):
-    span = SpanDataset(span_index=1)
-    for user, items in user_items.items():
-        span.users[user] = UserSpanData(user=user, train_items=items)
-    return span
-
-
-class TestTrainingExamples:
-    def test_prefix_targets(self):
-        span = make_span({0: [10, 11, 12]})
-        examples = span_training_examples(span)
-        assert [(e.history, e.target) for e in examples] == [
-            ([10], 11), ([10, 11], 12),
-        ]
-
-    def test_carried_history_prepended(self):
-        span = make_span({0: [10, 11]})
-        examples = span_training_examples(span, histories={0: [1, 2]})
-        assert [(e.history, e.target) for e in examples] == [
-            ([1, 2], 10), ([1, 2, 10], 11),
-        ]
-
-    def test_single_item_without_history_skipped(self):
-        span = make_span({0: [10]})
-        assert span_training_examples(span) == []
-
-    def test_single_item_with_history_predictable(self):
-        span = make_span({0: [10]})
-        examples = span_training_examples(span, histories={0: [1]})
-        assert [(e.history, e.target) for e in examples] == [([1], 10)]
-
-    def test_max_targets_keeps_latest(self):
-        span = make_span({0: list(range(10))})
-        examples = span_training_examples(span, max_targets_per_user=3)
-        assert len(examples) == 3
-        assert examples[-1].target == 9
-
-
-class TestMinibatches:
-    def test_covers_all_examples(self):
-        examples = [TrainExample(0, [1], t) for t in range(10)]
-        batches = list(iterate_minibatches(examples, batch_size=3,
-                                           rng=np.random.default_rng(0)))
-        assert sum(len(b) for b in batches) == 10
-        seen = {e.target for b in batches for e in b}
-        assert seen == set(range(10))
-
-    def test_batch_sizes(self):
-        examples = [TrainExample(0, [1], t) for t in range(10)]
-        batches = list(iterate_minibatches(examples, batch_size=4, shuffle=False))
-        assert [len(b) for b in batches] == [4, 4, 2]
-
-    def test_no_shuffle_preserves_order(self):
-        examples = [TrainExample(0, [1], t) for t in range(6)]
-        batches = list(iterate_minibatches(examples, batch_size=2, shuffle=False))
-        assert [e.target for b in batches for e in b] == list(range(6))

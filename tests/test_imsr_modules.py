@@ -6,21 +6,21 @@ import pytest
 from repro.autograd import Tensor
 from repro.autograd.ops import binary_cross_entropy, log_softmax, sigmoid
 from repro.incremental.imsr import (
+    IMSR,
     RETAINERS,
-    detect_new_interests,
     euclidean_retention_loss,
     get_retainer,
     kl_from_uniform,
     mean_puzzlement,
-    orthogonal_residual,
     project_new_interests,
     projection_matrix,
-    puzzled_users,
     puzzlement,
     redundancy_report,
     sigmoid_distillation_loss,
     trim_mask,
 )
+from repro.incremental.strategy import build_payloads
+from repro.models import ComiRecDR
 
 
 def constant_teacher_loss(name, interests, prev, targets, tau):
@@ -172,18 +172,19 @@ class TestNID:
             puzzlement(rng.normal(size=(3, 4)), np.zeros((0, 4)))
 
     def test_detection_threshold_direction(self):
+        # Eq. 14: a user is puzzled when mean puzzlement exceeds c1
         interests = np.eye(4)[:3]
         puzzled_item = np.array([[0.0, 0.0, 0.0, 1.0]])
-        assert detect_new_interests(puzzled_item, interests, c1=0.9)
+        assert mean_puzzlement(puzzled_item, interests) > 0.9
         confident_item = interests[[0]] * 10
-        assert not detect_new_interests(confident_item, interests, c1=0.9)
+        assert not mean_puzzlement(confident_item, interests) > 0.9
 
     def test_larger_c1_stricter(self, rng):
         """The paper: 'too large c1 prevents the creation of new interests'."""
         embs = rng.normal(size=(10, 6)) * 0.3
         interests = rng.normal(size=(4, 6)) * 0.3
-        fired = [detect_new_interests(embs, interests, c1)
-                 for c1 in (0.1, 0.5, 0.9999)]
+        score = mean_puzzlement(embs, interests)
+        fired = [score > c1 for c1 in (0.1, 0.5, 0.9999)]
         assert fired[0] and not fired[-1]
 
     def test_mean_puzzlement_is_mean(self, rng):
@@ -194,13 +195,27 @@ class TestNID:
         expected = float(puzzlement(embs, interests).mean())
         assert mean_puzzlement(embs, interests) == pytest.approx(expected)
 
-    def test_puzzled_users_set(self, rng):
-        interests = {0: np.eye(4)[:2] * 10, 1: np.eye(4)[:2] * 10}
-        embs = {
-            0: np.array([[0.0, 0.0, 1.0, 0.0]]),  # orthogonal -> puzzled
-            1: np.eye(4)[[0]] * 10,               # aligned -> confident
-        }
-        assert puzzled_users(embs, interests, c1=0.9) == [0]
+    def test_puzzled_users_set(self, tiny_split, train_config):
+        """IMSR expands exactly the puzzled set U_p^t: the users whose
+        span items' mean puzzlement exceeds c1."""
+        strategy = IMSR(ComiRecDR(tiny_split.num_items, dim=12,
+                                  num_interests=3, seed=0),
+                        tiny_split, train_config, c2=0.0)
+        strategy.pretrain()
+        payloads = build_payloads(tiny_split.spans[0], train_config)
+        emb = strategy.model.item_emb.weight.data
+        scores = {p.user: mean_puzzlement(emb[p.history + p.targets],
+                                          strategy.states[p.user].interests)
+                  for p in payloads}
+        # a threshold equal to one user's score: Eq. 14 is strict
+        strategy.c1 = sorted(scores.values())[len(scores) // 2]
+        for payload in payloads:
+            strategy.states[payload.user].begin_span()
+            strategy._ints_ex(0, payload, span_idx=1)
+        puzzled = sorted(u for u, score in scores.items()
+                         if score > strategy.c1)
+        assert puzzled and len(puzzled) < len(scores)
+        assert sorted(strategy.expansion_log[1]) == puzzled
 
 
 class TestPIT:
@@ -218,18 +233,25 @@ class TestPIT:
     def test_residual_orthogonal_to_existing(self, rng):
         existing = rng.normal(size=(3, 8))
         new = rng.normal(size=(2, 8))
-        residual = orthogonal_residual(new, existing)
+        out = project_new_interests(Tensor(np.vstack([existing, new])),
+                                    n_existing=3)
+        residual = out.data[3:]
         assert np.allclose(residual @ existing.T, 0.0, atol=1e-8)
+        # what was removed lies in the existing interests' plane
+        removed = new - residual
+        proj = projection_matrix(existing)
+        assert np.allclose(removed @ proj.T, removed, atol=1e-8)
 
     def test_residual_of_in_span_vector_is_zero(self, rng):
         existing = rng.normal(size=(2, 6))
         redundant = (existing[0] - existing[1])[None, :]
-        residual = orthogonal_residual(redundant, existing)
-        assert np.allclose(residual, 0.0, atol=1e-8)
+        out = project_new_interests(Tensor(np.vstack([existing, redundant])),
+                                    n_existing=2)
+        assert np.allclose(out.data[2:], 0.0, atol=1e-8)
 
     def test_empty_existing_passthrough(self, rng):
-        new = rng.normal(size=(2, 4))
-        assert np.allclose(orthogonal_residual(new, np.zeros((0, 4))), new)
+        new = Tensor(rng.normal(size=(2, 4)))
+        assert project_new_interests(new, n_existing=0) is new
 
     def test_project_new_interests_in_graph(self, rng):
         interests = Tensor(rng.normal(size=(5, 6)), requires_grad=True)

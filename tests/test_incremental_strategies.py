@@ -13,7 +13,6 @@ from repro.incremental import (
     TrainConfig,
     build_payloads,
 )
-from repro.incremental.strategy import merge_payload_items
 from repro.models import ComiRecDR, ComiRecSA
 
 
@@ -53,13 +52,6 @@ class TestPayloads:
         n_with = sum(len(p.history) + len(p.targets) for p in with_val)
         n_without = sum(len(p.history) + len(p.targets) for p in without)
         assert n_with > n_without
-
-    def test_merge_payload_items(self, tiny_split, train_config):
-        payloads = build_payloads(tiny_split.pretrain, train_config)
-        merged = merge_payload_items(payloads, payloads)
-        user = payloads[0].user
-        assert len(merged[user]) == 2 * (
-            len(payloads[0].history) + len(payloads[0].targets))
 
 
 class TestStrategyRegistry:

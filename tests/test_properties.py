@@ -10,7 +10,7 @@ from repro.autograd.tensor import _unbroadcast
 from repro.backend.fused import _squash_np
 from repro.eval.metrics import hit_at_k, ndcg_at_k, rank_of_target
 from repro.incremental.imsr.nid import kl_from_uniform, puzzlement
-from repro.incremental.imsr.pit import orthogonal_residual, projection_matrix
+from repro.incremental.imsr.pit import project_new_interests, projection_matrix
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False,
                           allow_infinity=False, width=64)
@@ -58,7 +58,9 @@ def test_unbroadcast_inverts_broadcast(x):
 def test_projection_residual_orthogonality(existing, new):
     if existing.shape[1] != new.shape[1]:
         new = np.resize(new, (new.shape[0], existing.shape[1]))
-    residual = orthogonal_residual(new, existing)
+    n_existing = existing.shape[0]
+    interests = Tensor(np.vstack([existing, new]))
+    residual = project_new_interests(interests, n_existing).data[n_existing:]
     # exact in real arithmetic; numerically the error scales with the
     # input magnitudes (the projector involves a pseudo-inverse)
     scale = max(1.0, float(np.abs(new).max() * np.abs(existing).max()))

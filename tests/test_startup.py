@@ -1,11 +1,9 @@
-"""Start-up guard: ``import repro`` and ordinary runs stay free of scipy
-and of the static linter, and ``python -m repro`` runs the command it is
-given.
+"""Start-up guard: ``import repro`` and ordinary runs stay free of scipy,
+and ``python -m repro`` runs the command it is given.
 
 ``scipy.stats`` costs about half a second and 65 MB to import, and only
-the Table III significance test uses it; the linter is only used by
-``repro lint``.  Each case runs in a fresh interpreter, because the test
-process itself has long since imported both.
+the Table III significance test uses it.  Each case runs in a fresh
+interpreter, because the test process itself has long since imported it.
 """
 
 from __future__ import annotations
@@ -59,14 +57,13 @@ TINY_SPLIT = """
 """
 
 
-def test_import_loads_neither_scipy_nor_the_linter():
+def test_import_does_not_load_scipy():
     out = last_json(run_code("""
         import json, sys
         import repro
-        print(json.dumps({name: name in sys.modules
-                          for name in ("scipy", "repro.analysis")}))
+        print(json.dumps({"scipy": "scipy" in sys.modules}))
     """))
-    assert out == {"scipy": False, "repro.analysis": False}
+    assert out == {"scipy": False}
 
 
 def test_runs_finish_without_importing_scipy(tmp_path):
@@ -82,38 +79,11 @@ def test_runs_finish_without_importing_scipy(tmp_path):
                             checkpoint_dir={str(tmp_path)!r})
         print(json.dumps({{"spans": len(span.per_span),
                           "events": stream.events,
-                          "scipy": "scipy" in sys.modules,
-                          "analysis": "repro.analysis" in sys.modules}}))
+                          "scipy": "scipy" in sys.modules}}))
     """))
     assert out["spans"] > 0 and out["events"] == 40
     # the cost left the process; it did not move into the run
     assert out["scipy"] is False
-    assert out["analysis"] is False
-
-
-def test_linter_is_still_an_attribute_and_a_command(tmp_path):
-    out = last_json(run_code("""
-        import json, sys
-        import repro
-        loaded_before = "repro.analysis" in sys.modules
-        analysis = repro.analysis
-        print(json.dumps({
-            "before": loaded_before,
-            "is_module": analysis is sys.modules["repro.analysis"],
-            "listed": "analysis" in repro.__all__,
-            "has_rules": bool(analysis.all_rules()),
-        }))
-    """))
-    assert out == {"before": False, "is_module": True, "listed": True,
-                   "has_rules": True}
-    missing = run_code("import repro; repro.no_such_module")
-    assert missing.returncode != 0
-    assert "AttributeError" in missing.stderr
-
-    clean = tmp_path / "clean.py"
-    clean.write_text('"""A clean module."""\n\nVALUE = 1\n')
-    lint = run_python("-m", "repro", "lint", str(clean))
-    assert lint.returncode == 0, lint.stdout + lint.stderr
 
 
 def test_module_entry_point_runs_the_named_command():

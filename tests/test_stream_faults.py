@@ -244,9 +244,7 @@ class TestCrashResume:
     run exactly: chain, window metrics, and parameter bytes."""
 
     def crash_and_resume(self, tiny_split, directory, seq, name="FT"):
-        plan = FaultPlan()
-        plan.faults.append(Fault(point="stream-event-boundary", kind="crash",
-                                 match={"seq": seq}))
+        plan = FaultPlan().crash_after_event(seq)
         strategy = build(tiny_split, name)
         with active(plan), pytest.raises(SimulatedCrash):
             run_stream(strategy, events=stream_events(tiny_split),
@@ -304,9 +302,7 @@ class TestCrashResume:
     def test_corrupt_newest_checkpoint_falls_back_one_interval(
             self, tiny_split, tmp_path, baseline):
         base, base_hash = baseline
-        plan = FaultPlan()
-        plan.faults.append(Fault(point="stream-event-boundary", kind="crash",
-                                 match={"seq": 40}))
+        plan = FaultPlan().crash_after_event(40)
         strategy = build(tiny_split)
         with active(plan), pytest.raises(SimulatedCrash):
             run_stream(strategy, events=stream_events(tiny_split),
@@ -326,9 +322,7 @@ class TestCrashResume:
 
     def test_corrupt_journal_refuses_resume_loudly(self, tiny_split,
                                                    tmp_path):
-        plan = FaultPlan()
-        plan.faults.append(Fault(point="stream-event-boundary", kind="crash",
-                                 match={"seq": 40}))
+        plan = FaultPlan().crash_after_event(40)
         strategy = build(tiny_split)
         with active(plan), pytest.raises(SimulatedCrash):
             run_stream(strategy, events=stream_events(tiny_split),
@@ -396,9 +390,7 @@ class TestCrashResume:
             self, tiny_split, tmp_path):
         """A quarantined event before the crash is recorded once; records
         past the resume offset are truncated and re-created on replay."""
-        combined = FaultPlan().malform_event(10, fld="item")
-        combined.faults.append(Fault(point="stream-event-boundary",
-                                     kind="crash", match={"seq": 40}))
+        combined = FaultPlan().malform_event(10, fld="item").crash_after_event(40)
         strategy = build(tiny_split)
         with active(combined), pytest.raises(SimulatedCrash):
             run_stream(strategy, events=stream_events(tiny_split),
@@ -424,9 +416,7 @@ class TestCrashResume:
                               checkpoint_dir=tmp_path / "straight")
         base_hash = state_hash(straight)
 
-        combined = FaultPlan().cold_start_flood(10, count=4)
-        combined.faults.append(Fault(point="stream-event-boundary",
-                                     kind="crash", match={"seq": 40}))
+        combined = FaultPlan().cold_start_flood(10, count=4).crash_after_event(40)
         strategy = build(tiny_split)
         with active(combined), pytest.raises(SimulatedCrash):
             run_stream(strategy, events=events, config=STREAM_CONFIG,

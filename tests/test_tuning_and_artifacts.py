@@ -1,73 +1,10 @@
-"""Tests for grid search and artifact export."""
+"""Tests for artifact export."""
 
 import json
 
 import numpy as np
-import pytest
 
-from repro.experiments import make_strategy
 from repro.experiments.artifacts import export_result, load_artifact
-from repro.experiments.tuning import GridSearchResult, TrialResult, grid_search, validation_score
-from repro.incremental import TrainConfig
-
-
-@pytest.fixture()
-def fast_config():
-    return TrainConfig(epochs_pretrain=2, epochs_incremental=1,
-                       num_negatives=4, seed=0)
-
-
-class TestGridSearch:
-    def test_covers_cartesian_product(self, tiny_split, fast_config):
-        result = grid_search(
-            {"lr": [0.01, 0.05], "kd_weight": [0.0, 0.1]},
-            tiny_split, base_config=fast_config,
-            model_kwargs={"dim": 8, "num_interests": 2},
-            train_spans=[1],
-        )
-        assert len(result.trials) == 4
-        settings = {tuple(sorted(t.settings.items())) for t in result.trials}
-        assert len(settings) == 4
-
-    def test_best_is_max(self, tiny_split, fast_config):
-        result = grid_search(
-            {"lr": [0.01, 0.05]}, tiny_split, base_config=fast_config,
-            model_kwargs={"dim": 8, "num_interests": 2}, train_spans=[1],
-        )
-        assert result.best.val_hr == max(t.val_hr for t in result.trials)
-
-    def test_rows_sorted_descending(self, tiny_split, fast_config):
-        result = grid_search(
-            {"lr": [0.01, 0.05, 0.1]}, tiny_split, base_config=fast_config,
-            model_kwargs={"dim": 8, "num_interests": 2}, train_spans=[1],
-        )
-        scores = [row["val_HR"] for row in result.rows()]
-        assert scores == sorted(scores, reverse=True)
-
-    def test_config_vs_strategy_kwargs_split(self, tiny_split, fast_config):
-        # c1 is a strategy kwarg; epochs_incremental a config field — both
-        # must be routed without error
-        result = grid_search(
-            {"c1": [0.3], "epochs_incremental": [1]},
-            tiny_split, base_config=fast_config,
-            model_kwargs={"dim": 8, "num_interests": 2}, train_spans=[1],
-        )
-        assert len(result.trials) == 1
-
-    def test_empty_grid_rejected(self, tiny_split, fast_config):
-        with pytest.raises(ValueError):
-            grid_search({}, tiny_split, base_config=fast_config)
-
-    def test_empty_result_best_raises(self):
-        with pytest.raises(ValueError):
-            GridSearchResult().best
-
-    def test_validation_score_bounds(self, tiny_split, fast_config):
-        strategy = make_strategy("FT", "ComiRec-DR", tiny_split, fast_config,
-                                 model_kwargs={"dim": 8, "num_interests": 2})
-        strategy.pretrain()
-        score = validation_score(strategy, tiny_split, [1, 2])
-        assert 0.0 <= score <= 1.0
 
 
 class _FakeResult:

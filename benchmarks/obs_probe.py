@@ -153,12 +153,11 @@ def measure(repeats: int = 3) -> dict:
 
     # one profiled run of the same workload counts how often the
     # profiler's hook sites actually fire, split by what each site costs
-    # while disabled: sandwich fwd/bwd samples and per-tensor memory
-    # tracking are bare None checks; explicit op scopes and phase
-    # markers are disabled-context calls.  Backend-op samples and step
-    # samples cost nothing when off (the instrumented backend wrapper
-    # only exists while profiling) but are counted as checks anyway —
-    # a conservative bias.
+    # while disabled: sandwich fwd/bwd samples, per-tensor memory
+    # tracking, backend-op samples (the scatters check the profiler
+    # themselves) and step samples (``prof.on_step``) are bare None
+    # checks; explicit op scopes and phase markers are disabled-context
+    # calls.
     profiled = run_strategy(build_strategy(split), split, "bench", "bench",
                             profile=True).profile
     scope_fires = check_fires = 0

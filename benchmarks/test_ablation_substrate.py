@@ -30,7 +30,7 @@ def _run(strategy, split, eval_targets="all"):
     results = []
     for t in range(1, split.T):
         strategy.train_span(t)
-        results.append(evaluate_span(strategy.score_user, split.spans[t],
+        results.append(evaluate_span(strategy.score_users, split.spans[t],
                                      targets=eval_targets))
     return average_results(results)
 
@@ -97,9 +97,9 @@ def test_ablation_eval_protocol(run_once):
             dense, strict = [], []
             for t in range(1, split.T):
                 strategy.train_span(t)
-                dense.append(evaluate_span(strategy.score_user,
+                dense.append(evaluate_span(strategy.score_users,
                                            split.spans[t], targets="all"))
-                strict.append(evaluate_span(strategy.score_user,
+                strict.append(evaluate_span(strategy.score_users,
                                             split.spans[t], targets="test"))
             out[name] = (average_results(dense), average_results(strict))
         return out

@@ -23,10 +23,9 @@ import time
 import numpy as np
 
 from conftest import report
-from prof_probe import WORLD as LARGE_WORLD
 
 from repro.autograd import no_grad
-from repro.data import generate_world, split_time_spans
+from repro.data import WorldConfig, generate_world, split_time_spans
 from repro.experiments import make_strategy, shape_check
 from repro.incremental import TrainConfig
 from repro.incremental.strategy import build_payloads
@@ -35,6 +34,14 @@ from repro.models import ComiRecDR, batched_compute_interests
 #: asserted floors on batched / per-user wall time
 TRAIN_SPEEDUP_FLOOR = 1.5
 EXTRACT_SPEEDUP_FLOOR = 2.0
+
+#: a 96-user, 800-item world: big enough that batching amortizes
+LARGE_WORLD = WorldConfig(
+    num_users=96, num_items=800, num_topics=12,
+    init_topics_per_user=(2, 4), new_topic_rate=0.6, num_spans=3,
+    pretrain_events_per_user=(24, 40), span_events_per_user=(10, 16),
+    initial_catalog_fraction=0.8, span_activity=0.95, seed=13,
+)
 
 
 def best_of(fn, repeats=3):

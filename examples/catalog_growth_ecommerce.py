@@ -62,10 +62,10 @@ def main() -> None:
     last = split.spans[split.T - 1]
     def split_eval(strategy):
         existing = evaluate_span(
-            strategy.score_user, last, targets="all",
+            strategy.score_users, last, targets="all",
             item_filter=lambda u, i: i in seen.get(u, set()))
         new = evaluate_span(
-            strategy.score_user, last, targets="all",
+            strategy.score_users, last, targets="all",
             item_filter=lambda u, i: i not in seen.get(u, set()))
         return existing.hr, new.hr
 

@@ -70,7 +70,7 @@ def main() -> None:
         results = []
         for t in range(1, split.T):
             strategy.train_span(t)
-            results.append(evaluate_span(strategy.score_user, split.spans[t],
+            results.append(evaluate_span(strategy.score_users, split.spans[t],
                                          targets="all"))
         avg = average_results(results)
         mean_k = np.mean([s.num_interests for s in strategy.states.values()])

@@ -31,7 +31,7 @@ def main() -> None:
         print(f"\n[{name}]")
         for t in range(1, split.T):
             strategy.train_span(t)
-            result = evaluate_span(strategy.score_user, split.spans[t],
+            result = evaluate_span(strategy.score_users, split.spans[t],
                                    targets="all")
             counts = strategy.interest_counts()
             mean_k = sum(counts.values()) / len(counts)

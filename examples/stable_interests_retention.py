@@ -56,7 +56,7 @@ def main() -> None:
         results, drifts = [], []
         for t in range(1, split.T):
             strategy.train_span(t)
-            results.append(evaluate_span(strategy.score_user, split.spans[t],
+            results.append(evaluate_span(strategy.score_users, split.spans[t],
                                          targets="all"))
             drifts.append(interest_drift(strategy))
         avg = average_results(results)

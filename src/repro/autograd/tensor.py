@@ -70,7 +70,7 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 def _as_array(value: ArrayLike) -> np.ndarray:
     if isinstance(value, Tensor):
         return value.data
-    return np.asarray(value, dtype=_backend.active.compute_dtype)
+    return np.asarray(value, dtype=_backend.compute_dtype)
 
 
 class Tensor:
@@ -79,9 +79,9 @@ class Tensor:
     Parameters
     ----------
     data:
-        Anything convertible to a numpy array in the active backend's
-        compute dtype (float64 on the paper-exact default backend,
-        float32 under ``repro.backend`` ``"fast"``).
+        Anything convertible to a numpy array; stored in
+        ``repro.backend.compute_dtype``, read on every creation (float64
+        on the paper-exact default backend, float32 under ``"fast"``).
     requires_grad:
         If True, gradients are accumulated into ``self.grad`` on backward.
     """
@@ -91,8 +91,7 @@ class Tensor:
     __array_priority__ = 100  # make numpy defer to our __radd__ etc.
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False):
-        self.data = np.asarray(_as_array(data),
-                               dtype=_backend.active.compute_dtype)
+        self.data = np.asarray(_as_array(data), dtype=_backend.compute_dtype)
         self.requires_grad = bool(requires_grad) and _grad_enabled
         self.grad: Optional[np.ndarray] = None
         # list of (parent, fn) where fn maps d(out) -> d(parent)
@@ -528,7 +527,7 @@ class _RowGrad:
     def table(self, data: np.ndarray) -> np.ndarray:
         """The dense gradient: the lookup scattered into zeros."""
         out = np.zeros_like(data)
-        _backend.active.scatter_add(out, self.indices, self.updates)
+        _backend.scatter_add(out, self.indices, self.updates)
         return out
 
 
@@ -542,7 +541,7 @@ def _sum_grads(data: np.ndarray, contribs: list) -> Tuple[np.ndarray, bool]:
 
     * the first lookup scatters into one zeroed table, as before;
     * while the sum started from such a table, each later lookup adds its
-      per-row segment sum (:meth:`~repro.backend.Backend.segment_sum`) to
+      per-row segment sum (:func:`repro.backend.segment_sum`) to
       the rows it touched only.  The old per-lookup table held +0.0 in
       every other row, and ``x + 0.0 == x`` for every ``x`` but -0.0.
       Under round-to-nearest a sum is -0.0 only when both terms are, so a
@@ -566,7 +565,7 @@ def _sum_grads(data: np.ndarray, contribs: list) -> Tuple[np.ndarray, bool]:
             if clean:
                 # `data` stands in for the per-lookup table: same row
                 # shape and dtype
-                rows, sums = _backend.active.segment_sum(
+                rows, sums = _backend.segment_sum(
                     data, contrib.indices, contrib.updates)
                 total[rows] += sums
                 continue

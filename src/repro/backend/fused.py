@@ -4,8 +4,8 @@ B2I dynamic routing (Eqs. 3–4), additive self-attention (Eqs. 7–9) and
 the target-attentive sampled-softmax loss (Eqs. 5–6) each run here as
 one numpy forward with a hand-derived backward, registered as a
 *single* graph node whose per-parent closures share one cached backward
-computation.  Both backends run the same kernels; ``fast`` changes only
-the compute dtype.
+computation.  A backend is only a compute dtype (:mod:`repro.backend`),
+so both run these kernels: ``fast`` in float32, ``default`` in float64.
 
 Each kernel works on a padded ``(B, ...)`` block.  The batched training
 engine (``models/batched_train.py``) passes masks for ragged sequence

@@ -76,17 +76,6 @@ class TemporalSplit:
     def T(self) -> int:
         return len(self.spans)
 
-    def cumulative_train_items(self, user: int, up_to_span: int) -> List[int]:
-        """All items user interacted with from pretraining through span
-        ``up_to_span`` inclusive (used by the full-retraining strategy)."""
-        items: List[int] = []
-        if user in self.pretrain:
-            items.extend(self.pretrain.users[user].all_items)
-        for span in self.spans[: up_to_span + 1]:
-            if user in span:
-                items.extend(span.users[user].all_items)
-        return items
-
 
 def interactions_by_user(
     interactions: Sequence[Interaction],

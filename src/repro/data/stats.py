@@ -18,10 +18,6 @@ class DatasetStats:
     pretrain_interactions: int
     span_interactions: List[int]
 
-    @property
-    def total_interactions(self) -> int:
-        return self.pretrain_interactions + sum(self.span_interactions)
-
     def as_row(self) -> Dict[str, object]:
         row: Dict[str, object] = {
             "dataset": self.name,

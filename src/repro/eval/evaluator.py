@@ -54,15 +54,17 @@ def _collect_cases(
 
 
 def evaluate_span(
-    score_fn: Callable[[int], np.ndarray],
+    score_users: Callable[[Sequence[int]], np.ndarray],
     span: SpanDataset,
     k: int = 20,
     item_filter: Optional[Callable[[int, int], bool]] = None,
     keep_per_user: bool = False,
     targets: str = "test",
-    batch_score_fn: Optional[Callable[[Sequence[int]], np.ndarray]] = None,
 ) -> EvalResult:
-    """Evaluate ``score_fn(user) -> catalog scores`` on a span's items.
+    """HR@k / NDCG@k of a batch scorer on a span's items.
+
+    ``score_users(users) -> (U, num_items)`` returns one row of catalog
+    scores per user (:meth:`IncrementalStrategy.score_users`).
 
     ``targets`` selects the test cases per user:
 
@@ -80,12 +82,10 @@ def evaluate_span(
     used by the Fig. 7(a) case study to split existing vs. new items.
     Per-user metrics (``keep_per_user``) average that user's cases.
 
-    ``batch_score_fn(users) -> (U, num_items)`` is the batched fast path
-    (:meth:`IncrementalStrategy.score_users`): one call scores every user
-    with test cases, instead of one ``score_fn`` call per user.  Either
-    way, all cases' ranks and metrics are computed in one fused pass
-    (:func:`ranks_of_user_targets` / :func:`metrics_from_ranks`); both
-    paths are bit-identical to the historical per-item evaluator
+    One ``score_users`` call scores every user with test cases, and all
+    cases' ranks and metrics are computed in one fused pass
+    (:func:`ranks_of_user_targets` / :func:`metrics_from_ranks`),
+    bit-identical to the historical per-user, per-item evaluator
     (``tests/test_eval_batched.py``).
     """
     if targets not in ("test", "all"):
@@ -95,10 +95,7 @@ def evaluate_span(
     if not cases:
         return EvalResult(hr=0.0, ndcg=0.0, num_cases=0, per_user=per_user)
     with _prof.op("eval.score"):
-        if batch_score_fn is not None:
-            score_matrix = np.asarray(batch_score_fn([u for u, _ in cases]))
-        else:
-            score_matrix = np.stack([score_fn(user) for user, _ in cases])
+        score_matrix = np.asarray(score_users([u for u, _ in cases]))
     with _prof.op("eval.rank"):
         counts = [len(items) for _, items in cases]
         case_rows = np.repeat(np.arange(len(cases)), counts)

@@ -104,11 +104,8 @@ def forgetting_analysis(
     for i, span_i in enumerate(spans):
         strategy.train_span(span_i)
         for j, span_j in enumerate(spans[: i + 1]):
-            result = evaluate_span(
-                strategy.score_user, split.spans[span_j],
-                targets=eval_targets,
-                batch_score_fn=strategy.score_users,
-            )
+            result = evaluate_span(strategy.score_users,
+                                   split.spans[span_j], targets=eval_targets)
             matrix[i, j] = result.hr
     return ForgettingReport(matrix=matrix, spans=spans)
 

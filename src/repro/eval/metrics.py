@@ -2,29 +2,18 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
 
 
-def rank_of_target(scores: np.ndarray, target: int,
-                   exclude: Optional[Sequence[int]] = None) -> int:
+def rank_of_target(scores: np.ndarray, target: int) -> int:
     """0-based rank of ``target`` under descending ``scores``.
 
-    ``exclude`` items (e.g. the user's training history) are pushed below
-    everything else.  Ties are broken pessimistically (equal-scored items
-    count as ranked above the target) so metrics never benefit from
-    degenerate constant scores.
+    Ties are broken pessimistically (equal-scored items count as ranked
+    above the target) so metrics never benefit from degenerate constant
+    scores: the rank is everything ``>=`` the target, less the target
+    itself.
     """
-    target_score = scores[target]
-    if exclude is None:
-        # everything >= the target, less the target itself: the count
-        # :func:`ranks_of_targets` takes, without a mask copy
-        return int(np.count_nonzero(scores >= target_score)) - 1
-    mask = np.ones_like(scores, dtype=bool)
-    mask[list(exclude)] = False
-    mask[target] = False
-    return int(np.count_nonzero(scores[mask] >= target_score))
+    return int(np.count_nonzero(scores >= scores[target])) - 1
 
 
 def hit_at_k(rank: int, k: int = 20) -> float:
@@ -39,10 +28,9 @@ def ndcg_at_k(rank: int, k: int = 20) -> float:
     return 1.0 / np.log2(rank + 2.0)
 
 
-def metrics_at_k(scores: np.ndarray, target: int, k: int = 20,
-                 exclude: Optional[Sequence[int]] = None) -> tuple:
+def metrics_at_k(scores: np.ndarray, target: int, k: int = 20) -> tuple:
     """Convenience: ``(hit@k, ndcg@k)`` for one test instance."""
-    rank = rank_of_target(scores, target, exclude=exclude)
+    rank = rank_of_target(scores, target)
     return hit_at_k(rank, k), ndcg_at_k(rank, k)
 
 
@@ -52,43 +40,6 @@ def metrics_at_k(scores: np.ndarray, target: int, k: int = 20,
 _RANK_CHUNK_ELEMENTS = 4_000_000
 
 
-def ranks_of_targets(scores: np.ndarray, targets: Sequence[int],
-                     exclude: Optional[Sequence[int]] = None) -> np.ndarray:
-    """Vectorized :func:`rank_of_target` for many targets of one user.
-
-    Returns the (M,) 0-based ranks of ``targets`` under descending
-    ``scores``, agreeing *exactly* with per-item :func:`rank_of_target`
-    — including the pessimistic tie-breaking (equal-scored items count
-    as ranked above the target) and the ``exclude`` mask semantics
-    (excluded items are pushed below everything; a target that is itself
-    excluded is not double-subtracted).  Property-tested against the
-    scalar implementation in ``tests/test_eval_batched.py``.
-    """
-    scores = np.asarray(scores)
-    targets = np.asarray(targets, dtype=np.int64)
-    if targets.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    ex = None
-    if exclude is not None:
-        ex = np.unique(np.asarray(list(exclude), dtype=np.int64))
-        if ex.size == 0:
-            ex = None
-    n = max(1, scores.shape[0])
-    step = max(1, _RANK_CHUNK_ELEMENTS // n)
-    ranks = np.empty(targets.shape[0], dtype=np.int64)
-    for lo in range(0, targets.shape[0], step):
-        chunk = targets[lo:lo + step]
-        t = scores[chunk][:, None]                     # (m, 1)
-        counts = (scores[None, :] >= t).sum(axis=1)    # everything >= target
-        if ex is not None:
-            counts -= (scores[ex][None, :] >= t).sum(axis=1)
-            counts -= (~np.isin(chunk, ex)).astype(np.int64)  # self, if counted
-        else:
-            counts -= 1                                # the target itself
-        ranks[lo:lo + step] = counts
-    return ranks
-
-
 def ranks_of_user_targets(score_matrix: np.ndarray, case_users: np.ndarray,
                           case_items: np.ndarray) -> np.ndarray:
     """Ranks for a flat list of (user row, target item) test cases.
@@ -96,8 +47,8 @@ def ranks_of_user_targets(score_matrix: np.ndarray, case_users: np.ndarray,
     ``score_matrix`` holds one catalog-score row per user;
     ``case_users[j]`` indexes the row and ``case_items[j]`` the target
     of case ``j``.  Each case's rank is exactly
-    ``rank_of_target(score_matrix[case_users[j]], case_items[j])`` (no
-    exclusions) — the same ``>=`` comparisons and integer count, fused
+    ``rank_of_target(score_matrix[case_users[j]], case_items[j])`` — the
+    same ``>=`` comparisons and integer count, fused
     across *all* users' cases in one chunked pass instead of a Python
     call per user.  This is the whole-span fast path behind
     :func:`repro.eval.evaluate_span`.

@@ -27,10 +27,3 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> Tuple[float, float]
         return 0.0, 1.0
     t_stat, p_value = stats.ttest_rel(a, b)
     return float(t_stat), float(p_value)
-
-
-def significantly_better(a: Sequence[float], b: Sequence[float],
-                         alpha: float = 0.05) -> bool:
-    """True when mean(a) > mean(b) with p < ``alpha``."""
-    t_stat, p_value = paired_t_test(a, b)
-    return bool(t_stat > 0 and p_value < alpha)

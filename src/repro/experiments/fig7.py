@@ -160,16 +160,13 @@ def run_fig7(
                 }
         eval_span = split.spans[last_trained]
         result.item_type_hr[strategy_name] = {
-            "existing": evaluate_span(strategy.score_user, eval_span,
+            "existing": evaluate_span(strategy.score_users, eval_span,
                                       item_filter=existing_filter,
-                                      targets="all",
-                                      batch_score_fn=strategy.score_users).hr,
-            "new": evaluate_span(strategy.score_user, eval_span,
-                                 item_filter=new_filter, targets="all",
-                                 batch_score_fn=strategy.score_users).hr,
-            "all": evaluate_span(strategy.score_user, eval_span,
-                                 targets="all",
-                                 batch_score_fn=strategy.score_users).hr,
+                                      targets="all").hr,
+            "new": evaluate_span(strategy.score_users, eval_span,
+                                 item_filter=new_filter, targets="all").hr,
+            "all": evaluate_span(strategy.score_users, eval_span,
+                                 targets="all").hr,
         }
         if strategy_name == "IMSR":
             imsr_strategy = strategy  # type: ignore[assignment]

@@ -182,9 +182,7 @@ def run_strategy(
     split: TemporalSplit,
     dataset_name: str = "",
     model_name: str = "",
-    eval_spans: Optional[List[int]] = None,
     keep_per_user: bool = True,
-    eval_targets: str = "all",
     checkpoint_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
     trace_dir: Optional[Union[str, Path]] = None,
@@ -192,10 +190,10 @@ def run_strategy(
 ) -> RunResult:
     """Execute the full incremental protocol for a prepared strategy.
 
-    ``eval_targets="all"`` (default) scores every next-span item as a test
-    case, densifying the paper's one-item-per-user protocol to offset our
-    smaller synthetic user counts; pass ``"test"`` for the strict
-    protocol.
+    Evaluation scores every next-span item as a test case
+    (``evaluate_span(targets="all")``), densifying the paper's
+    one-item-per-user protocol to offset our smaller synthetic user
+    counts; :func:`repro.eval.forgetting_analysis` keeps the strict one.
 
     ``checkpoint_dir`` enables journaled checkpoints (one per span plus
     ``journal.json``) and the divergence guard; ``resume=True``
@@ -232,8 +230,8 @@ def run_strategy(
                       strategy=strategy.name,
                       backend=_backend.active_backend_name()):
             result = _run_protocol(
-                strategy, split, dataset_name, model_name, eval_spans,
-                keep_per_user, eval_targets, checkpoint_dir, resume)
+                strategy, split, dataset_name, model_name, keep_per_user,
+                checkpoint_dir, resume)
     finally:
         profiler = _prof.stop_profiling() if owns_prof else None
         if owns_trace:
@@ -248,9 +246,7 @@ def _run_protocol(
     split: TemporalSplit,
     dataset_name: str,
     model_name: str,
-    eval_spans: Optional[List[int]],
     keep_per_user: bool,
-    eval_targets: str,
     checkpoint_dir: Optional[Union[str, Path]],
     resume: bool,
 ) -> RunResult:
@@ -260,8 +256,6 @@ def _run_protocol(
         journal, restored_span = _prepare_journal(
             strategy, checkpoint_dir, resume, dataset_name, model_name)
 
-    T = split.T
-    spans_to_train = eval_spans or list(range(1, T))
     per_span: List[EvalResult] = []
     per_user: List[Dict[int, tuple]] = []
     interest_counts: List[float] = []
@@ -288,7 +282,7 @@ def _run_protocol(
                 if record.span > 0:
                     eval_times[record.span] = record.eval_time
 
-    for t in spans_to_train:
+    for t in range(1, split.T):
         if restored_span is not None and t <= restored_span:
             record = journal.spans.get(t)
             if record is None or record.hr is None:
@@ -319,11 +313,8 @@ def _run_protocol(
 
         eval_start = time.perf_counter()
         with obs.span("evaluate", span_id=t), _prof.phase("eval"):
-            result = evaluate_span(
-                strategy.score_user, split.spans[t],
-                keep_per_user=keep_per_user, targets=eval_targets,
-                batch_score_fn=strategy.score_users,
-            )
+            result = evaluate_span(strategy.score_users, split.spans[t],
+                                   keep_per_user=keep_per_user, targets="all")
         if journal is not None and not (
                 np.isfinite(result.hr) and np.isfinite(result.ndcg)):
             _rollback(strategy, journal, t, "non-finite-metrics",
@@ -332,10 +323,8 @@ def _run_protocol(
             with obs.span("evaluate", span_id=t, after_rollback=True), \
                     _prof.phase("eval"):
                 result = evaluate_span(
-                    strategy.score_user, split.spans[t],
-                    keep_per_user=keep_per_user, targets=eval_targets,
-                    batch_score_fn=strategy.score_users,
-                )
+                    strategy.score_users, split.spans[t],
+                    keep_per_user=keep_per_user, targets="all")
             if not (np.isfinite(result.hr) and np.isfinite(result.ndcg)):
                 # the restored state scores non-finite too: nothing left
                 # to roll back to — record a fatal incident rather than
@@ -369,7 +358,7 @@ def _run_protocol(
 
     # mean per-user inference time on the last evaluated span, through
     # the batched scoring path the evaluator uses
-    eval_users = split.spans[spans_to_train[-1]].user_ids()[:50]
+    eval_users = split.spans[split.T - 1].user_ids()[:50]
     start = time.perf_counter()
     strategy.score_users(eval_users)
     inference_time = (time.perf_counter() - start) / max(1, len(eval_users))

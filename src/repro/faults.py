@@ -68,10 +68,8 @@ __all__ = [
     "InjectedIOError",
     "active",
     "fire",
-    "active_plans",
     "all_finite",
     "non_finite_sites",
-    "nan_poison",
     "flip_one_byte",
 ]
 
@@ -303,11 +301,6 @@ class FaultPlan:
 _ACTIVE: List[FaultPlan] = []
 
 
-def active_plans() -> List[FaultPlan]:
-    """The currently activated plans (outermost first)."""
-    return list(_ACTIVE)
-
-
 @contextlib.contextmanager
 def active(plan: FaultPlan) -> Iterator[FaultPlan]:
     """Activate ``plan`` for the duration of the block."""
@@ -333,7 +326,7 @@ def fire(point: str, **info: Any) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------- #
-# array/file corruption helpers (used by the plan and the test suite)
+# array/file corruption helpers
 # ---------------------------------------------------------------------- #
 def all_finite(arr: np.ndarray) -> bool:
     """True when every element of a float array is finite."""
@@ -362,14 +355,6 @@ def non_finite_sites(strategy: "IncrementalStrategy",
             if arr is not None and not all_finite(arr):
                 sites.append(f"user/{user}/{name}")
     return sites
-
-
-def nan_poison(arr: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Copy of ``arr`` with one seeded-random element replaced by NaN."""
-    out = arr.astype(np.float64, copy=True)
-    flat = out.reshape(-1)
-    flat[int(rng.integers(flat.size))] = np.nan
-    return out
 
 
 def flip_one_byte(path, offset: Optional[int] = None,

@@ -45,27 +45,22 @@ def decode_pool(arr: np.ndarray) -> Dict[int, List[List[int]]]:
             for u, bucket in decode_json_state(arr).items()}
 
 
-class ADER(IncrementalStrategy):
-    """Exemplar replay with distillation on the replayed sequences."""
+class ReplayPool:
+    """The replay pool of ADER and IMSR+Replay, mixed in ahead of the
+    strategy class: up to ``pool_per_user`` randomly truncated sequences
+    per user per span, drawn from the pool's own seeded generator.
 
-    name = "ADER"
+    The strategy's constructor calls :meth:`_init_pool`.  The pool fills
+    after pretraining and after each span (:meth:`_add_to_pool`), and
+    the pool and its generator are checkpointed under ``"pool"``.
+    """
 
-    def __init__(self, model: MSRModel, split, config: TrainConfig,
-                 pool_per_user: int = 5, kd_weight: float = 1e-3,
-                 temperature: float = 1.0, max_replay: int = 6):
-        super().__init__(model, split, config)
+    def _init_pool(self, pool_per_user: int, seed: int) -> None:
         self.pool_per_user = pool_per_user
-        self.kd_weight = kd_weight
-        self.temperature = temperature
-        #: cap on replayed sequences per user per span; the effective
-        #: count grows with the pool's generations, which is what makes
-        #: ADER's per-span cost grow across spans (Table V)
-        self.max_replay = max_replay
-        #: user -> list of truncated historical sequences (the session pool)
+        #: user -> list of truncated historical sequences
         self.pool: Dict[int, List[List[int]]] = {}
-        self._pool_rng = np.random.default_rng(config.seed + 17)
+        self._pool_rng = np.random.default_rng(seed)
 
-    # ------------------------------------------------------------------ #
     def random_generators(self):
         gens = super().random_generators()
         gens["pool"] = self._pool_rng
@@ -79,14 +74,13 @@ class ADER(IncrementalStrategy):
     def load_extra_state(self, arrays):
         arrays = dict(arrays)
         pool = arrays.pop("pool", None)
-        if pool is None:  # another strategy's checkpoint, e.g. FT's
+        if pool is None:  # a pool-less strategy's checkpoint, e.g. FT's
             raise ValueError(
-                "checkpoint has no replay pool for ADER; resuming from it "
-                "would train a different algorithm")
+                f"checkpoint has no replay pool for {self.name}; resuming "
+                f"from it would train a different algorithm")
         super().load_extra_state(arrays)
         self.pool = decode_pool(pool)
 
-    # ------------------------------------------------------------------ #
     def pretrain(self) -> float:
         elapsed = super().pretrain()
         self._add_to_pool(self.split.pretrain)
@@ -103,6 +97,24 @@ class ADER(IncrementalStrategy):
                 cut = int(self._pool_rng.integers(2, len(items)))
                 start = int(self._pool_rng.integers(0, len(items) - cut + 1))
                 bucket.append(items[start:start + cut])
+
+
+class ADER(ReplayPool, IncrementalStrategy):
+    """Exemplar replay with distillation on the replayed sequences."""
+
+    name = "ADER"
+
+    def __init__(self, model: MSRModel, split, config: TrainConfig,
+                 pool_per_user: int = 5, kd_weight: float = 1e-3,
+                 temperature: float = 1.0, max_replay: int = 6):
+        super().__init__(model, split, config)
+        self._init_pool(pool_per_user, config.seed + 17)
+        self.kd_weight = kd_weight
+        self.temperature = temperature
+        #: cap on replayed sequences per user per span; the effective
+        #: count grows with the pool's generations, which is what makes
+        #: ADER's per-span cost grow across spans (Table V)
+        self.max_replay = max_replay
 
     def _exemplar_payloads(self, span) -> List[UserPayload]:
         """Replayed sequences per pooled user.

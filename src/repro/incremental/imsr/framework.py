@@ -194,9 +194,3 @@ class IMSR(IncrementalStrategy):
         self._refresh_snapshots(span, interests_hook=self._pit_hook)
         self.train_times[t] = elapsed
         return elapsed
-
-    # ------------------------------------------------------------------ #
-    # diagnostics
-    # ------------------------------------------------------------------ #
-    def mean_interest_count(self) -> float:
-        return float(np.mean([s.num_interests for s in self.states.values()]))

@@ -8,7 +8,7 @@ the same skeleton, mirroring the paper's protocol:
    span's new interactions;
 3. after each span, user interest snapshots are refreshed and the model is
    evaluated on span ``t+1``'s test items (handled by the experiment
-   runner via :meth:`score_user`).
+   runner via :meth:`score_users`).
 
 The paper trains each user by splitting their in-span interactions into a
 historical part (interests are extracted from it) and a target-item set
@@ -50,10 +50,6 @@ class TrainConfig:
     seed: int = 0
     #: cap on per-user targets per span (keeps epochs bounded)
     max_targets: int = 24
-    #: stop an epoch loop early when validation HR@20 stops improving
-    #: (the paper performs early stopping during training)
-    early_stopping: bool = False
-    patience: int = 2
     #: users per optimizer step.  1 (default) is the paper-exact per-user
     #: loop; >1 pads a group of users into one batched autograd forward
     #: (see repro.models.batched_train) and takes one step per group —
@@ -79,14 +75,16 @@ class UserPayload:
     targets: List[int]
 
 
-def build_payloads(span: SpanDataset, config: TrainConfig,
-                   include_val: bool = True) -> List[UserPayload]:
-    """Split each user's in-span items into history + target set."""
+def build_payloads(span: SpanDataset, config: TrainConfig) -> List[UserPayload]:
+    """Split each user's in-span items into history + target set.
+
+    The items are the span's training items followed by its validation
+    item, when the user has one."""
     payloads: List[UserPayload] = []
     for user in span.user_ids():
         data = span.users[user]
         items = list(data.train_items)
-        if include_val and data.val_item is not None:
+        if data.val_item is not None:
             items.append(data.val_item)
         if len(items) < 2:
             continue
@@ -172,12 +170,12 @@ class IncrementalStrategy:
         return self.model.score_all_items(self.states[user])
 
     def score_users(self, users: Sequence[int]) -> np.ndarray:
-        """Catalog scores for many users at once — the evaluator's batched
-        fast path.  Bit-identical to stacking :meth:`score_user` calls:
-        it issues the same per-user GEMM through
-        :func:`repro.models.score_items_batch`.  Strategies that override
-        :meth:`score_user` (MIMN, LimaRec) are detected and scored
-        through their own override."""
+        """Catalog scores for many users at once — what
+        :func:`repro.eval.evaluate_span` scores with.  Bit-identical to
+        stacking :meth:`score_user` calls: it issues the same per-user
+        GEMM through :func:`repro.models.score_items_batch`.  Strategies
+        that override :meth:`score_user` (MIMN, LimaRec) are detected
+        and scored through their own override."""
         if type(self).score_user is not IncrementalStrategy.score_user:
             return np.stack([self.score_user(u) for u in users])
         from ..models.aggregator import score_items_batch
@@ -241,7 +239,6 @@ class IncrementalStrategy:
         loss_hook: Optional[Callable[[UserState, Tensor, UserPayload], Optional[Tensor]]] = None,
         epoch_hook: Optional[Callable[[int, UserPayload], None]] = None,
         interests_hook: Optional[Callable[[UserState, Tensor], Tensor]] = None,
-        val_fn: Optional[Callable[[], float]] = None,
     ) -> None:
         """The core loop: per user, extract interests once and score all
         the user's targets (paper Section IV-E).
@@ -250,8 +247,7 @@ class IncrementalStrategy:
         term (e.g. EIR's distillation).  ``epoch_hook(epoch, payload)``
         runs before each user's step (IMSR's IntsEx).  ``interests_hook``
         post-processes the extracted interests in-graph (PIT projection).
-        ``val_fn`` (or the config's ``early_stopping`` default, which
-        scores the payloads' validation split) enables early stopping.
+        Every call trains for exactly ``epochs`` epochs.
 
         ``config.users_per_batch > 1`` switches to the micro-batched
         engine: groups of users are padded into one batched forward and
@@ -267,8 +263,6 @@ class IncrementalStrategy:
 
         use_groups = group_size > 1 and supports_batched_training(self.model)
         order = list(payloads)
-        best_val = -np.inf
-        stale_epochs = 0
         for epoch in range(epochs):
             self.rng.shuffle(order)
             with obs.span("epoch", epoch=epoch, span_id=self._current_span,
@@ -283,16 +277,6 @@ class IncrementalStrategy:
                     for payload in order:
                         self._train_user(payload, epoch, opt, loss_hook,
                                          epoch_hook, interests_hook)
-            if val_fn is not None or self.config.early_stopping:
-                score = val_fn() if val_fn is not None else (
-                    self._payload_val_score(payloads))
-                if score > best_val + 1e-9:
-                    best_val = score
-                    stale_epochs = 0
-                else:
-                    stale_epochs += 1
-                    if stale_epochs >= self.config.patience:
-                        break
 
     def _train_user(
         self,
@@ -409,21 +393,6 @@ class IncrementalStrategy:
         opt.step()
         self.model.item_emb.zero_padding_row()
         return True
-
-    def _payload_val_score(self, payloads: Sequence[UserPayload]) -> float:
-        """Mean HR@20 of each payload's last target against the catalog —
-        the cheap validation signal used for early stopping."""
-        from ..eval.metrics import metrics_from_ranks, ranks_of_targets
-
-        if not payloads:
-            return 0.0
-        emb = self.model.item_emb.weight.data
-        hits = np.empty(len(payloads))
-        for i, payload in enumerate(payloads):
-            scores = (emb @ self.states[payload.user].interests.T).max(axis=1)
-            ranks = ranks_of_targets(scores, [payload.targets[-1]])
-            hits[i] = metrics_from_ranks(ranks)[0][0]
-        return float(np.mean(hits))
 
     def _sync_optimizer(self, opt: Adam, state: UserState) -> Adam:
         """Ensure a user's (possibly re-created) SA weights are optimized.

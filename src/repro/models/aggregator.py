@@ -46,7 +46,7 @@ def score_items_batch(interest_list: Sequence[np.ndarray],
     **bit-identical** to the per-user path by construction — the
     batching win comes from amortizing the Python call overhead and
     from the vectorized rank/metric pipeline downstream
-    (:func:`repro.eval.ranks_of_targets`), not from changing any
+    (:func:`repro.eval.ranks_of_user_targets`), not from changing any
     floating-point computation.
     """
     out = np.empty((len(interest_list), item_embeddings.shape[0]))

@@ -132,7 +132,7 @@ class MSRModel(Module):
     def _random_interests(self, k: int) -> np.ndarray:
         """Scaled N(0, I) init (paper Algorithm 1 line 8), std 1/sqrt(d)."""
         draw = self.rng.normal(0.0, 1.0 / np.sqrt(self.dim), size=(k, self.dim))
-        return np.asarray(draw, dtype=_backend.active.compute_dtype)
+        return np.asarray(draw, dtype=_backend.compute_dtype)
 
     # SA-specific hooks (no-ops for DR models) -------------------------- #
     def _init_sa_weights(self, k: int) -> Optional[Parameter]:

@@ -57,9 +57,6 @@ class Module:
         for param in self.parameters():
             param.zero_grad()
 
-    def num_parameters(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
     # ------------------------------------------------------------------ #
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Copy of every parameter's data, keyed by dotted path."""

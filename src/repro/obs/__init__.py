@@ -56,7 +56,6 @@ from .prof import (
     op,
     phase,
     profiling,
-    read_rss_kb,
     shape_bucket,
     start_profiling,
     stop_profiling,
@@ -133,7 +132,6 @@ __all__ = [
     "op",
     "phase",
     "profiling",
-    "read_rss_kb",
     "shape_bucket",
     "start_profiling",
     "stop_profiling",

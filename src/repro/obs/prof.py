@@ -4,9 +4,9 @@ The tracer (:mod:`repro.obs.trace`) answers *how long did this span
 take*; this module answers *where inside the span the time and memory
 went*.  Three hook families feed one :class:`OpProfiler`:
 
-* **backend ops** — :class:`repro.backend.instrument.InstrumentedBackend`
-  wraps any registered backend and times ``scatter_add``
-  (``segment_sum`` counts as a ``scatter_add``), recording call counts,
+* **backend ops** — :func:`repro.backend.scatter_add` and
+  :func:`repro.backend.segment_sum` (which counts as a ``scatter_add``)
+  time themselves while a profiler is active, recording call counts,
   estimated FLOPs, and bytes moved, aggregated by
   ``(phase, op, shape bucket)``;
 * **autograd nodes** — :class:`repro.autograd.Tensor` calls
@@ -18,10 +18,12 @@ went*.  Three hook families feed one :class:`OpProfiler`:
   node, so python glue is attributed rather than lost;
 * **memory** — :class:`MemTracker` follows live tensor bytes via
   ``weakref.finalize``, keeps a per-span peak watermark, and samples
-  live/peak bytes (plus optional RSS) at optimizer-step boundaries,
-  which every optimizer's ``step()`` signals through :func:`on_step`.
+  live/peak bytes at optimizer-step boundaries, which every optimizer's
+  ``step()`` signals through :func:`on_step`.
 
-Everything is **off by default**.  Each hook site costs one module
+Profiling has one configuration: every hook is on between
+:func:`start_profiling` and :func:`stop_profiling`, and everything is
+**off by default**.  Each hook site costs one module
 attribute load plus a ``None`` check while disabled — the same budget
 as the trace probes, enforced by
 ``benchmarks/obs_probe.py``.  Hooks only read clocks and counters; they
@@ -52,7 +54,6 @@ __all__ = [
     "op",
     "phase",
     "profiling",
-    "read_rss_kb",
     "shape_bucket",
     "start_profiling",
     "stop_profiling",
@@ -62,9 +63,9 @@ _perf = time.perf_counter
 
 #: the active profiler, or None — every hook site checks exactly this
 _PROFILER: Optional["OpProfiler"] = None
-#: autograd hook bundle, non-None only while profiling with autograd=True
+#: autograd hook bundle, non-None only while profiling
 _AUTOGRAD: Optional["_AutogradHooks"] = None
-#: memory tracker, non-None only while profiling with memory=True
+#: memory tracker, non-None only while profiling
 _MEM: Optional["MemTracker"] = None
 
 #: cap on timeline samples kept in memory; beyond it the sampling stride
@@ -86,18 +87,6 @@ def _pow2(n: int) -> int:
     if n <= 1:
         return 1
     return 1 << (n - 1).bit_length()
-
-
-def read_rss_kb() -> Optional[int]:
-    """Resident set size in kB from ``/proc/self/status`` (None if absent)."""
-    try:
-        with open("/proc/self/status", "r", encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1])
-    except OSError:
-        return None
-    return None
 
 
 class MemTracker:
@@ -272,7 +261,7 @@ class OpProfiler:
         time used for the attribution fraction.
     ``backend_ops``
         ``(phase, op, bucket) -> [count, total_s, flops, bytes]`` for the
-        instrumented backend ops.  These run *inside* kernels (a
+        backend's scatters.  These run *inside* kernels (a
         ``bwd.gather_rows`` backward contains its ``scatter_add``), so
         they are a drill-down, not part of the attribution sum.
     ``span_ops``
@@ -280,22 +269,17 @@ class OpProfiler:
         the open span stack, feeding flamegraph leaf frames.
     """
 
-    def __init__(self, autograd: bool = True, memory: bool = True,
-                 rss: bool = False):
+    def __init__(self) -> None:
         self.kernels: Dict[Tuple[str, str], List[float]] = {}
         self.backend_ops: Dict[Tuple[str, str, str], List[float]] = {}
         self.span_ops: Dict[Tuple[Tuple[str, ...], str], List[float]] = {}
         self.phase_wall: Dict[str, float] = {}
         self.mem_timeline: List[Dict[str, Any]] = []
         self.steps = 0
-        self.autograd = bool(autograd)
-        self.memory = bool(memory)
-        self.rss = bool(rss)
-        self.mem: Optional[MemTracker] = MemTracker() if memory else None
+        self.mem = MemTracker()
         self._phase = ""
         self._phase_stack: List[_PhaseCtx] = []
         self._stride = 1
-        self._restore_backend = None
         self._start = _perf()
         self.elapsed_s = 0.0
 
@@ -333,21 +317,13 @@ class OpProfiler:
             entry[3] += nbytes
 
     def on_step(self) -> None:
-        """Step-boundary sampling hook (live/peak memory, RSS)."""
+        """Step-boundary sampling hook (live/peak memory)."""
         self.steps += 1
         if self.steps % self._stride:
             return
         mem = self.mem
-        if mem is not None:
-            sample: Dict[str, Any] = {
-                "step": self.steps, "live_bytes": mem.live,
-                "peak_bytes": mem.peak,
-            }
-            if self.rss:
-                rss = read_rss_kb()
-                if rss is not None:
-                    sample["rss_kb"] = rss
-            self.mem_timeline.append(sample)
+        self.mem_timeline.append({"step": self.steps, "live_bytes": mem.live,
+                                  "peak_bytes": mem.peak})
         if len(self.mem_timeline) > _TIMELINE_CAP:
             self._stride *= 2
             self.mem_timeline = self.mem_timeline[::2]
@@ -404,16 +380,12 @@ class OpProfiler:
         if top:
             kernels = kernels[:top]
             backend_ops = backend_ops[:top]
-        memory: Dict[str, Any] = {}
-        if self.mem is not None:
-            memory = {
-                "live_bytes": self.mem.live,
-                "peak_bytes": self.mem.peak,
-                "tensors_tracked": self.mem.tracked,
-                "samples": len(self.mem_timeline),
-            }
-            if self.rss:
-                memory["rss_kb"] = read_rss_kb()
+        memory = {
+            "live_bytes": self.mem.live,
+            "peak_bytes": self.mem.peak,
+            "tensors_tracked": self.mem.tracked,
+            "samples": len(self.mem_timeline),
+        }
         return {
             "elapsed_s": self.elapsed_s,
             "steps": self.steps,
@@ -457,17 +429,10 @@ class OpProfiler:
                          "wall_s": wall})
         for sample in self.mem_timeline:
             tracer.emit({"kind": "mem_sample", **sample})
-        if self.mem is not None:
-            summary: Dict[str, Any] = {
-                "kind": "mem_summary", "live_bytes": self.mem.live,
-                "peak_bytes": self.mem.peak,
-                "tensors_tracked": self.mem.tracked,
-            }
-            if self.rss:
-                rss = read_rss_kb()
-                if rss is not None:
-                    summary["rss_kb"] = rss
-            tracer.emit(summary)
+        tracer.emit({
+            "kind": "mem_summary", "live_bytes": self.mem.live,
+            "peak_bytes": self.mem.peak, "tensors_tracked": self.mem.tracked,
+        })
 
 
 # ---------------------------------------------------------------------- #
@@ -511,37 +476,20 @@ def phase(name: str):
     return _PhaseCtx(prof, name)
 
 
-def start_profiling(autograd: bool = True, memory: bool = True,
-                    rss: bool = False,
-                    instrument_backend: bool = True) -> OpProfiler:
-    """Activate op-level profiling (one active profiler at a time).
-
-    ``instrument_backend=True`` swaps the active backend for an
-    :class:`~repro.backend.instrument.InstrumentedBackend` wrapper and
-    restores the original at :func:`stop_profiling`.
-    """
+def start_profiling() -> OpProfiler:
+    """Activate op-level profiling (one active profiler at a time)."""
     global _PROFILER, _AUTOGRAD, _MEM
     if _PROFILER is not None:
         raise RuntimeError("profiling is already active; stop it first")
-    prof = OpProfiler(autograd=autograd, memory=memory, rss=rss)
-    if instrument_backend:
-        # deferred: repro.backend imports repro.obs at package init
-        from .. import backend as _backend
-        from ..backend.instrument import InstrumentedBackend
-
-        if not isinstance(_backend.active, InstrumentedBackend):
-            prof._restore_backend = _backend.set_backend(
-                InstrumentedBackend(_backend.active))
+    prof = OpProfiler()
     _PROFILER = prof
-    if autograd:
-        _AUTOGRAD = _AutogradHooks(prof)
-    if memory:
-        _MEM = prof.mem
+    _AUTOGRAD = _AutogradHooks(prof)
+    _MEM = prof.mem
     return prof
 
 
-def stop_profiling(emit: bool = True) -> Optional[OpProfiler]:
-    """Deactivate profiling; fold results into the active trace.
+def stop_profiling() -> Optional[OpProfiler]:
+    """Deactivate profiling; fold results into the active trace, if any.
 
     Returns the (finished) profiler, or None if profiling was off.
     """
@@ -552,25 +500,17 @@ def stop_profiling(emit: bool = True) -> Optional[OpProfiler]:
     _MEM = None
     if prof is None:
         return None
-    if prof._restore_backend is not None:
-        from .. import backend as _backend
-
-        _backend.set_backend(prof._restore_backend)
-        prof._restore_backend = None
     prof.finish()
-    if emit:
-        tracer = _trace._TRACER
-        if tracer is not None:
-            prof.emit_to_trace(tracer)
+    tracer = _trace._TRACER
+    if tracer is not None:
+        prof.emit_to_trace(tracer)
     return prof
 
 
 @contextlib.contextmanager
-def profiling(autograd: bool = True, memory: bool = True, rss: bool = False,
-              instrument_backend: bool = True) -> Iterator[OpProfiler]:
+def profiling() -> Iterator[OpProfiler]:
     """``with profiling() as prof:`` — scoped activation."""
-    prof = start_profiling(autograd=autograd, memory=memory, rss=rss,
-                           instrument_backend=instrument_backend)
+    prof = start_profiling()
     try:
         yield prof
     finally:

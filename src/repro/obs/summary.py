@@ -443,12 +443,9 @@ def render_prof_summary(prof: Dict[str, Any], top: int = 12) -> str:
                 f"total={total_s:.4f}s bytes={record.get('bytes')}{rate}")
     mem = prof.get("memory")
     if mem:
-        cell = (f"  memory         peak={mem.get('peak_bytes')}B "
-                f"live={mem.get('live_bytes')}B "
-                f"tensors={mem.get('tensors_tracked')}")
-        if mem.get("rss_kb") is not None:
-            cell += f" rss={mem['rss_kb']}kB"
-        lines.append(cell)
+        lines.append(f"  memory         peak={mem.get('peak_bytes')}B "
+                     f"live={mem.get('live_bytes')}B "
+                     f"tensors={mem.get('tensors_tracked')}")
     return "\n".join(lines)
 
 

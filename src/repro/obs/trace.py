@@ -47,11 +47,11 @@ METRICS_NAME = "metrics.json"
 #: record keys carrying wall-clock (or GC-dependent) measurements;
 #: excluded from the deterministic trace fingerprint.  ``total_s`` /
 #: ``wall_s`` come from profiler op records, ``mem`` is the per-span
-#: memory enrichment added when profiling with memory accounting.
+#: memory enrichment added when profiling.
 TIMING_KEYS = ("wall", "dur_s", "total_s", "wall_s", "mem")
 
 #: profiler record kinds whose *content* is allowed to vary between
-#: identical runs (live bytes and RSS follow GC timing); the fingerprint
+#: identical runs (live bytes follow GC timing); the fingerprint
 #: keeps only their ``kind`` so record order/count stays checked
 _NONDETERMINISTIC_KINDS = frozenset({"mem_sample", "mem_summary"})
 

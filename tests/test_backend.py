@@ -2,7 +2,7 @@
 
 Three families of guarantees:
 
-1. **Selection** — registry names (case-insensitive), scoped switching,
+1. **Selection** — backend names (case-insensitive), scoped switching,
    the ``REPRO_BACKEND`` environment hook, and dtype threading into
    Tensors.
 2. **Equivalence** — at float64 the model kernels agree with the
@@ -25,7 +25,7 @@ import pytest
 
 from repro import backend
 from repro.autograd import Tensor
-from repro.backend import NumpyBackend, set_backend, use_backend
+from repro.backend import active_backend_name, set_backend, use_backend
 from repro.data import WorldConfig, generate_world, split_time_spans
 from repro.eval import evaluate_span
 from repro.experiments import make_strategy, run_strategy
@@ -153,38 +153,33 @@ def assert_metric_identical(result, reference):
 
 class TestSelection:
     def test_default_backend(self):
-        assert backend.active.name == "default"
-        assert backend.active.compute_dtype == np.float64
-        assert backend.active_backend_name() == "default"
+        assert active_backend_name() == "default"
+        assert backend.compute_dtype == np.float64
 
     @pytest.mark.parametrize("alias,name", [
         ("default", "default"), ("fast", "fast"), ("FAST", "fast"),
     ])
     def test_aliases(self, alias, name):
-        """Registry names resolve case-insensitively."""
-        with use_backend(alias) as active_backend:
-            assert active_backend.name == name
+        """Backend names resolve case-insensitively."""
+        with use_backend(alias) as active_name:
+            assert active_name == name == active_backend_name()
 
     def test_set_backend_returns_previous(self):
         previous = set_backend("fast")
         try:
-            assert previous.name == "default"
-            assert backend.active.name == "fast"
+            assert previous == "default"
+            assert active_backend_name() == "fast"
+            assert backend.compute_dtype == np.float32
         finally:
             set_backend(previous)
-        assert backend.active is previous
+        assert active_backend_name() == "default"
+        assert backend.compute_dtype == np.float64
 
     def test_use_backend_restores_on_error(self):
-        before = backend.active
         with pytest.raises(RuntimeError):
             with use_backend("fast"):
                 raise RuntimeError("boom")
-        assert backend.active is before
-
-    def test_instance_injection(self):
-        probe = NumpyBackend()
-        with use_backend(probe) as active_backend:
-            assert active_backend is probe
+        assert active_backend_name() == "default"
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -196,7 +191,7 @@ class TestSelection:
                        PYTHONPATH=str(REPO_ROOT / "src"))
             out = subprocess.run(
                 [sys.executable, "-c",
-                 "import repro.backend as b; print(b.active.name)"],
+                 "import repro.backend as b; print(b.active_backend_name())"],
                 capture_output=True, text=True, env=env, cwd=REPO_ROOT)
             assert out.returncode == 0, out.stderr
             assert out.stdout.strip() == name
@@ -262,8 +257,7 @@ def drift_world_span1(users_per_batch):
     strategy = make_strategy("IMSR", "ComiRec-DR", split, config,
                              model_kwargs={"dim": 32, "num_interests": 4})
     strategy.pretrain()
-    return evaluate_span(strategy.score_user, split.spans[1], targets="all",
-                         batch_score_fn=strategy.score_users)
+    return evaluate_span(strategy.score_users, split.spans[1], targets="all")
 
 
 class TestFusedMatchesUnfusedF64:

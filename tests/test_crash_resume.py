@@ -327,8 +327,8 @@ class TestDivergenceRollback:
 
         real = runner_mod.evaluate_span
 
-        def nan_eval(score_fn, span, **kwargs):
-            result = real(score_fn, span, **kwargs)
+        def nan_eval(score_users, span, **kwargs):
+            result = real(score_users, span, **kwargs)
             result.hr = float("nan")
             return result
 

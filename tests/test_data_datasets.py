@@ -81,9 +81,6 @@ class TestStats:
         assert row["dataset"] == "clothing"
         assert set(row) == {"dataset", "#users", "#items", "pre-training",
                             "1", "2", "3", "4", "5", "6"}
-        assert stats.total_interactions == (
-            stats.pretrain_interactions + sum(stats.span_interactions)
-        )
 
     def test_counts_match_split(self):
         world, split = load_dataset("books", scale=0.2)

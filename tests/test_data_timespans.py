@@ -78,18 +78,6 @@ class TestSplitting:
         split = split_time_spans(stream, num_items=10, T=1, alpha=0.5)
         assert split.pretrain.users[0].all_items == [0, 1, 2, 3, 4]
 
-    def test_cumulative_train_items(self):
-        stream = make_stream([
-            (0, 1, 0.1), (0, 2, 0.2),
-            (0, 3, 0.6), (0, 4, 0.7),
-            (0, 5, 0.8), (0, 6, 0.95),
-        ])
-        split = split_time_spans(stream, num_items=10, T=2, alpha=0.5)
-        upto0 = split.cumulative_train_items(0, up_to_span=0)
-        assert upto0 == [1, 2, 3, 4]
-        upto1 = split.cumulative_train_items(0, up_to_span=1)
-        assert upto1 == [1, 2, 3, 4, 5, 6]
-
 
 class TestValidation:
     def test_empty_stream_rejected(self):

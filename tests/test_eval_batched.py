@@ -1,9 +1,9 @@
 """Vectorized evaluation: ranks, metrics, batched scoring, evaluator.
 
 The batched pipeline must be *bit-identical* to the historical per-item
-evaluator: same pessimistic tie-breaking, same exclude semantics, same
-``1/log2(rank+2)`` floats.  Property tests drive every vectorized
-function against its scalar counterpart on tied and excluded inputs.
+evaluator: same pessimistic tie-breaking, same ``1/log2(rank+2)``
+floats.  Property tests drive every vectorized function against its
+scalar counterpart on tied inputs.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from repro.eval.metrics import (
     metrics_from_ranks,
     ndcg_at_k,
     rank_of_target,
-    ranks_of_targets,
     ranks_of_user_targets,
 )
 from repro.experiments import make_strategy
@@ -32,23 +31,13 @@ def tied_scores(rng, n):
 class TestRanksOfTargets:
     @pytest.mark.parametrize("n", [1, 7, 50])
     def test_matches_scalar_rank(self, rng, n):
+        """Many targets of one user, down to a one-item catalog."""
         scores = tied_scores(rng, n)
         targets = rng.integers(0, n, size=3 * n)
-        got = ranks_of_targets(scores, targets)
+        got = ranks_of_user_targets(scores[None, :],
+                                    np.zeros_like(targets), targets)
         want = [rank_of_target(scores, int(t)) for t in targets]
         assert got.tolist() == want
-
-    def test_exclude_matches_scalar(self, rng):
-        scores = tied_scores(rng, 40)
-        exclude = rng.choice(40, size=10, replace=False).tolist()
-        targets = list(range(40))  # includes excluded items as targets
-        got = ranks_of_targets(scores, targets, exclude=exclude)
-        want = [rank_of_target(scores, t, exclude=exclude) for t in targets]
-        assert got.tolist() == want
-
-    def test_empty_targets(self, rng):
-        out = ranks_of_targets(tied_scores(rng, 10), [])
-        assert out.shape == (0,) and out.dtype == np.int64
 
 
 class TestRanksOfUserTargets:
@@ -118,11 +107,13 @@ def trained(tiny_split):
 
 
 class TestEvaluateSpanBatched:
-    def legacy(self, strategy, span, k=20):
+    def legacy(self, strategy, span, k=20, targets="all"):
         """The historical evaluator: per-user scores, per-item ranks."""
         hits, ndcgs = [], []
         for user in span.user_ids():
-            items = span.users[user].all_items
+            data = span.users[user]
+            items = data.all_items if targets == "all" else (
+                [data.test_item] if data.test_item is not None else [])
             if not items:
                 continue
             scores = strategy.score_user(user)
@@ -136,30 +127,18 @@ class TestEvaluateSpanBatched:
                                                      tiny_split):
         span = tiny_split.spans[1]
         hr, ndcg, n = self.legacy(trained, span)
-        result = evaluate_span(trained.score_user, span, targets="all",
-                               batch_score_fn=trained.score_users)
+        result = evaluate_span(trained.score_users, span, targets="all")
         assert result.hr == hr
         assert result.ndcg == ndcg
         assert result.num_cases == n
 
-    def test_per_user_path_matches_batched_path(self, trained, tiny_split):
-        span = tiny_split.spans[1]
-        loop = evaluate_span(trained.score_user, span, targets="all",
-                             keep_per_user=True)
-        batched = evaluate_span(trained.score_user, span, targets="all",
-                                keep_per_user=True,
-                                batch_score_fn=trained.score_users)
-        assert loop.hr == batched.hr
-        assert loop.ndcg == batched.ndcg
-        assert loop.per_user == batched.per_user
-
     def test_strict_protocol_also_identical(self, trained, tiny_split):
         span = tiny_split.spans[2]
-        loop = evaluate_span(trained.score_user, span, targets="test")
-        batched = evaluate_span(trained.score_user, span, targets="test",
-                                batch_score_fn=trained.score_users)
-        assert loop.hr == batched.hr
-        assert loop.ndcg == batched.ndcg
+        hr, ndcg, n = self.legacy(trained, span, targets="test")
+        result = evaluate_span(trained.score_users, span, targets="test")
+        assert result.hr == hr
+        assert result.ndcg == ndcg
+        assert result.num_cases == n
 
 
 class TestScoreUsersOverride:

@@ -126,7 +126,7 @@ class TestRunner:
     def test_eval_targets_protocols_differ(self, tiny_split, fast_config):
         strategy = make_strategy("FT", "ComiRec-DR", tiny_split, fast_config,
                                  model_kwargs={"dim": 10, "num_interests": 2})
-        dense = run_strategy(strategy, tiny_split, eval_targets="all")
+        dense = run_strategy(strategy, tiny_split)
         strict_cases = sum(
             1 for span in tiny_split.spans[1:]
             for u in span.users.values() if u.test_item is not None

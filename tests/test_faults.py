@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro import faults
 from repro.faults import (
     FaultPlan,
     InjectedIOError,
@@ -12,27 +11,30 @@ from repro.faults import (
     all_finite,
     fire,
     flip_one_byte,
-    nan_poison,
 )
 
 
 class TestProbeMechanics:
-    def test_fire_without_active_plans_is_a_noop(self):
+    def test_fire_without_an_active_plan_is_a_noop(self):
         assert fire("span-boundary", span=3) == {}
-        assert faults.active_plans() == []
+        assert fire("train-step", step=0) == {}
 
     def test_activation_is_scoped(self):
-        plan = FaultPlan()
+        plan = FaultPlan().nan_loss_at_step()
+        assert fire("train-step", step=0) == {}
         with active(plan):
-            assert faults.active_plans() == [plan]
-        assert faults.active_plans() == []
+            assert fire("train-step", step=1) == {"poison_nan": True}
+        assert fire("train-step", step=2) == {}
+        assert len(plan.log) == 1
 
     def test_activation_unwinds_on_exception(self):
-        plan = FaultPlan().crash_at_span_boundary(1)
+        plan = (FaultPlan().crash_at_span_boundary(1)
+                .nan_loss_at_step())
         with pytest.raises(SimulatedCrash):
             with active(plan):
                 fire("span-boundary", span=1)
-        assert faults.active_plans() == []
+        assert fire("train-step", step=0) == {}
+        assert len(plan.log) == 1
 
     def test_match_filter_selects_span(self):
         plan = FaultPlan().crash_at_span_boundary(2)
@@ -98,14 +100,6 @@ class TestProbeMechanics:
 
 
 class TestSeededHelpers:
-    def test_nan_poison_is_deterministic_per_seed(self):
-        arr = np.zeros((4, 5))
-        a = nan_poison(arr, np.random.default_rng(7))
-        b = nan_poison(arr, np.random.default_rng(7))
-        assert np.array_equal(np.isnan(a), np.isnan(b))
-        assert np.isnan(a).sum() == 1
-        assert np.isfinite(arr).all()  # input untouched
-
     def test_all_finite(self):
         assert all_finite(np.ones((3, 2)))
         assert not all_finite(np.array([[1.0, np.nan]]))
@@ -138,7 +132,7 @@ class TestTrainingIntegration:
     """The fault model replaces the ad-hoc monkeypatching that
     ``test_robustness.py`` used to prove NaN containment."""
 
-    def test_nan_poisoned_steps_leave_parameters_untouched(
+    def test_nan_loss_steps_leave_parameters_untouched(
             self, tiny_split, train_config):
         from repro.incremental import FineTune
         from repro.models import ComiRecDR

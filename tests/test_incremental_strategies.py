@@ -45,13 +45,15 @@ class TestPayloads:
         assert all(len(p.targets) <= 2 for p in payloads)
 
     def test_exclude_val(self, tiny_split, train_config):
-        with_val = build_payloads(tiny_split.pretrain, train_config,
-                                  include_val=True)
-        without = build_payloads(tiny_split.pretrain, train_config,
-                                 include_val=False)
-        n_with = sum(len(p.history) + len(p.targets) for p in with_val)
-        n_without = sum(len(p.history) + len(p.targets) for p in without)
-        assert n_with > n_without
+        """Payloads train on the validation item too: it is the last
+        target of every user that has one."""
+        payloads = build_payloads(tiny_split.pretrain, train_config)
+        val_items = {p.user: tiny_split.pretrain.users[p.user].val_item
+                     for p in payloads}
+        assert any(v is not None for v in val_items.values())
+        for p in payloads:
+            if val_items[p.user] is not None:
+                assert p.targets[-1] == val_items[p.user]
 
 
 class TestStrategyRegistry:
@@ -197,6 +199,23 @@ class TestADER:
         if pooled_inactive:  # activity < 1 should leave some users out
             assert pooled_inactive & payload_users
 
+    def test_distillation_term_moves_the_parameters(self, tiny_split,
+                                                    train_config):
+        """ADER's KD term is live at the default weight: one span ends
+        with other parameters than the same span at ``kd_weight=0``,
+        where the hook adds no term.  A detached term fails this."""
+        finals = []
+        for kwargs in ({}, {"kd_weight": 0.0}):
+            strategy = ADER(dr_model(tiny_split), tiny_split, train_config,
+                            **kwargs)
+            strategy.pretrain()
+            strategy.train_span(1)
+            finals.append(dict(strategy.model.state_dict()))
+        default, without = finals
+        assert default.keys() == without.keys()
+        assert any(not np.array_equal(default[name], without[name])
+                   for name in default)
+
 
 class TestIMSR:
     def test_retention_term_trains_the_interests(self, tiny_split,
@@ -299,6 +318,9 @@ class TestIMSR:
         for state in strategy.states.values():
             assert state.sa_weights.data.shape[1] == state.num_interests
 
-    def test_mean_interest_count(self, tiny_split, train_config):
+    def test_users_start_with_the_base_interest_count(self, tiny_split,
+                                                      train_config):
+        """Every user starts with the model's K interests."""
         strategy = IMSR(dr_model(tiny_split), tiny_split, train_config)
-        assert strategy.mean_interest_count() == 3.0
+        counts = strategy.interest_counts()
+        assert np.mean(list(counts.values())) == 3.0

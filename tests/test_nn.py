@@ -24,10 +24,6 @@ class TestModule:
         names = [n for n, _ in net.named_parameters()]
         assert names == ["scale", "fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias"]
 
-    def test_num_parameters(self, rng):
-        net = Net(rng)
-        assert net.num_parameters() == 4 * 8 + 8 + 8 * 2 + 2 + 1
-
     def test_state_dict_roundtrip(self, rng):
         net = Net(rng)
         state = net.state_dict()

@@ -1,7 +1,8 @@
 """Unit tests for repro.obs.prof: the op-level profiler.
 
 Covers the disabled fast path (shared null contexts, no state), the
-hook lifecycle (backend swap/restore, one-profiler-at-a-time), kernel
+hook lifecycle (one profiler at a time, the backend left as it was), the
+self-reporting backend scatters, kernel
 attribution from the autograd sandwich and explicit op scopes, memory
 accounting, trace folding, and the headline acceptance property: a
 profiled run is bit-identical to an unprofiled one.
@@ -14,7 +15,6 @@ import pytest
 
 import repro.backend as backend
 from repro.autograd import Tensor
-from repro.backend.instrument import InstrumentedBackend
 from repro.experiments import run_strategy
 from repro.models import ComiRecDR
 from repro.nn import Adam, Parameter, clip_grad_norm
@@ -41,9 +41,9 @@ from tests.test_crash_resume import (
 @pytest.fixture(autouse=True)
 def _profiling_off():
     """Every test starts and ends with profiling disarmed."""
-    stop_profiling(emit=False)
+    stop_profiling()
     yield
-    stop_profiling(emit=False)
+    stop_profiling()
 
 
 # ---------------------------------------------------------------------- #
@@ -82,79 +82,75 @@ class TestDisabledFastPath:
         assert _prof._MEM is None
 
     def test_tensor_ops_fire_no_hooks_while_disabled(self):
-        before = backend.active
         result = (Tensor(np.ones((3, 3)), requires_grad=True) @ Tensor(np.eye(3))).sum()
         result.backward()
-        assert backend.active is before
         assert _prof.current_profiler() is None
+        assert _prof._AUTOGRAD is None and _prof._MEM is None
 
 
 class TestLifecycle:
-    def test_start_installs_and_stop_restores_backend(self):
-        original = backend.active
-        prof = start_profiling()
-        assert isinstance(backend.active, InstrumentedBackend)
-        assert backend.active.inner is original
-        assert _prof.current_profiler() is prof
-        returned = stop_profiling(emit=False)
-        assert returned is prof
-        assert backend.active is original
-        assert prof.elapsed_s > 0
+    def test_profiling_leaves_the_backend_unchanged(self):
+        for name, dtype in (("default", np.float64), ("fast", np.float32)):
+            with backend.use_backend(name):
+                prof = start_profiling()
+                assert _prof.current_profiler() is prof
+                assert backend.active_backend_name() == name
+                assert backend.compute_dtype == dtype
+                with _prof.phase("train"):
+                    x = Tensor(np.ones((5, 2)), requires_grad=True)
+                    x.gather_rows([0, 3, 3]).sum().backward()
+                assert stop_profiling() is prof
+                assert backend.active_backend_name() == name
+                assert backend.compute_dtype == dtype
+            assert x.grad.dtype == dtype
+            assert prof.elapsed_s > 0
+            # the embedding backward's scatter reported itself
+            assert {op for (_, op, _) in prof.backend_ops} == {"scatter_add"}
 
     def test_double_start_is_rejected(self):
-        start_profiling(instrument_backend=False)
+        start_profiling()
         with pytest.raises(RuntimeError, match="already active"):
             start_profiling()
 
     def test_stop_without_start_is_a_noop(self):
-        assert stop_profiling(emit=False) is None
+        assert stop_profiling() is None
 
     def test_profiling_context_manager_scopes_activation(self):
-        with _prof.profiling(instrument_backend=False) as prof:
+        with _prof.profiling() as prof:
             assert _prof.current_profiler() is prof
         assert _prof.current_profiler() is None
 
-    def test_optional_hooks_can_be_disabled(self):
-        prof = start_profiling(autograd=False, memory=False,
-                               instrument_backend=False)
-        assert _prof._AUTOGRAD is None
-        assert _prof._MEM is None
-        assert prof.mem is None
-        Tensor(np.ones(4), requires_grad=True).sum().backward()
-        assert prof.kernels == {}
 
-
-class TestInstrumentedBackend:
-    def test_delegation_is_bit_identical(self, rng):
-        inner = backend.active
-        wrapped = InstrumentedBackend(inner)
-        dt = inner.compute_dtype
-        table = np.zeros((6, 3), dtype=dt)
+class TestBackendScatters:
+    def test_same_bytes_with_and_without_profiler(self, rng):
+        table = np.zeros((6, 3))
         indices = np.array([4, 1, 4, 0])
-        updates = rng.standard_normal((4, 3)).astype(dt)
-        via_wrapper, via_inner = table.copy(), table.copy()
-        wrapped.scatter_add(via_wrapper, indices, updates)
-        inner.scatter_add(via_inner, indices, updates)
-        np.testing.assert_array_equal(via_wrapper, via_inner)
-        for got, want in zip(wrapped.segment_sum(table, indices, updates),
-                             inner.segment_sum(table, indices, updates)):
-            np.testing.assert_array_equal(got, want)
-
-    def test_rewrapping_unwraps_first(self):
-        inner = backend.active
-        twice = InstrumentedBackend(InstrumentedBackend(inner))
-        assert twice.inner is inner
+        updates = rng.standard_normal((4, 3))
+        results = []
+        for profiled in (False, True):
+            if profiled:
+                start_profiling()
+            out = table.copy()
+            backend.scatter_add(out, indices, updates)
+            rows, sums = backend.segment_sum(table, indices, updates)
+            stop_profiling()
+            results.append((out, rows, sums))
+        (out, rows, sums), (out_p, rows_p, sums_p) = results
+        assert out.tobytes() == out_p.tobytes()
+        assert rows.tobytes() == rows_p.tobytes()
+        assert sums.tobytes() == sums_p.tobytes()
+        np.testing.assert_array_equal(rows, [0, 1, 4])
+        assert sums.tobytes() == out[rows].tobytes()
 
     def test_ops_recorded_with_flops_and_bytes(self, rng):
-        prof = start_profiling(autograd=False, memory=False)
+        prof = start_profiling()
         with _prof.phase("test"):
-            wrapped = backend.active
-            dt = wrapped.compute_dtype
+            dt = backend.compute_dtype
             table = np.zeros((6, 3), dtype=dt)
             updates = rng.standard_normal((4, 3)).astype(dt)
-            wrapped.scatter_add(table, np.array([4, 1, 4, 0]), updates)
-            wrapped.segment_sum(table, np.array([2, 2, 3, 5]), updates)
-        stop_profiling(emit=False)
+            backend.scatter_add(table, np.array([4, 1, 4, 0]), updates)
+            backend.segment_sum(table, np.array([2, 2, 3, 5]), updates)
+        stop_profiling()
         rows = {(phase, op): entry
                 for (phase, op, _), entry in prof.backend_ops.items()}
         scatter = rows[("test", "scatter_add")]
@@ -165,46 +161,44 @@ class TestInstrumentedBackend:
 
 class TestKernelAttribution:
     def test_sandwich_names_forward_and_backward_ops(self):
-        prof = start_profiling(memory=False, instrument_backend=False)
+        prof = start_profiling()
         with _prof.phase("train"):
             x = Tensor(np.ones((4, 4)), requires_grad=True)
             loss = (x @ Tensor(np.eye(4))).sum()
             loss.backward()
-        stop_profiling(emit=False)
+        stop_profiling()
         ops = {op for (_, op) in prof.kernels}
         assert any(op.startswith("fwd.") for op in ops)
         assert any(op.startswith("bwd.") for op in ops)
         assert all(ph == "train" for (ph, _) in prof.kernels)
 
     def test_explicit_op_scope_is_a_named_kernel(self):
-        prof = start_profiling(autograd=False, memory=False,
-                               instrument_backend=False)
+        prof = start_profiling()
         with _prof.phase("train"):
             with _prof.op("optim.step"):
                 sum(range(100))
-        stop_profiling(emit=False)
+        stop_profiling()
         count, total = prof.kernels[("train", "optim.step")]
         assert count == 1 and total > 0
 
     def test_phase_wall_is_exclusive_of_nested_phases(self):
-        prof = start_profiling(autograd=False, memory=False,
-                               instrument_backend=False)
+        prof = start_profiling()
         with _prof.phase("outer"):
             with _prof.phase("inner"):
                 sum(range(2000))
-        stop_profiling(emit=False)
+        stop_profiling()
         assert prof.phase_wall["inner"] > 0
         assert prof.phase_wall["outer"] >= 0
         # exclusive walls: outer's own time excludes inner entirely
         assert prof.phase_wall["outer"] < prof.phase_wall["inner"] * 100
 
     def test_attribution_fractions_are_consistent(self):
-        prof = start_profiling(memory=False, instrument_backend=False)
+        prof = start_profiling()
         with _prof.phase("train"):
             x = Tensor(np.ones((16, 16)), requires_grad=True)
             for _ in range(5):
                 (x @ x).sum().backward()
-        stop_profiling(emit=False)
+        stop_profiling()
         attribution = prof.attribution()
         train = attribution["train"]
         assert train["wall_s"] > 0
@@ -218,7 +212,7 @@ class TestKernelAttribution:
         model = ComiRecDR(50, dim=8, num_interests=2, seed=0)
         state = model.init_user_state(0)
         opt = Adam(list(model.parameters()), lr=0.01)
-        prof = start_profiling(memory=False)
+        prof = start_profiling()
         with _prof.phase("train"):
             interests = model.compute_interests(state, [1, 2, 3, 4, 2])
             loss = model.loss_targets(interests, [5, 9],
@@ -227,7 +221,7 @@ class TestKernelAttribution:
             loss.backward()
             clip_grad_norm(opt.params, 5.0)
             opt.step()
-        stop_profiling(emit=False)
+        stop_profiling()
         count, total = prof.kernels[("train", "optim.clip")]
         assert count == 1 and total > 0
         ops = {op for (_, op) in prof.kernels}
@@ -235,13 +229,12 @@ class TestKernelAttribution:
         assert {"optim.step", "bwd.gather_rows"} <= ops
 
     def test_report_sorts_and_truncates(self):
-        prof = start_profiling(autograd=False, memory=False,
-                               instrument_backend=False)
+        prof = start_profiling()
         with _prof.phase("p"):
             for name, loops in (("op.slow", 50_000), ("op.fast", 10)):
                 with _prof.op(name):
                     sum(range(loops))
-        stop_profiling(emit=False)
+        stop_profiling()
         report = prof.report()
         totals = [row["total_s"] for row in report["kernels"]]
         assert totals == sorted(totals, reverse=True)
@@ -274,11 +267,11 @@ class TestMemTracker:
         assert outer_peak >= inner_peak
 
     def test_profiled_run_counts_tensors(self):
-        prof = start_profiling(instrument_backend=False)
+        prof = start_profiling()
         with _prof.phase("p"):
             for _ in range(3):
                 Tensor(np.ones((8, 8)), requires_grad=True).sum().backward()
-        stop_profiling(emit=False)
+        stop_profiling()
         memory = prof.report()["memory"]
         assert memory["tensors_tracked"] >= 3
         assert memory["peak_bytes"] > 0
@@ -286,11 +279,11 @@ class TestMemTracker:
 
 class TestStepSampling:
     def test_timeline_stride_doubles_past_the_cap(self):
-        prof = start_profiling(instrument_backend=False)
+        prof = start_profiling()
         prof._stride = 1
         for _ in range(_prof._TIMELINE_CAP + 10):
             prof.on_step()
-        stop_profiling(emit=False)
+        stop_profiling()
         assert prof._stride >= 2
         assert len(prof.mem_timeline) <= _prof._TIMELINE_CAP + 1
         assert prof.steps == _prof._TIMELINE_CAP + 10
@@ -298,14 +291,13 @@ class TestStepSampling:
     def test_optimizer_step_samples_memory_without_backend_instrumentation(
             self):
         """Optimizers signal the step boundary to the profiler directly,
-        so memory is sampled whether or not the backend is wrapped."""
+        so memory is sampled with no scatter in the step."""
         weight = Parameter(np.ones((4, 3)))
         opt = Adam([weight], lr=0.1)
-        prof = start_profiling(instrument_backend=False)
-        assert not isinstance(backend.active, InstrumentedBackend)
+        prof = start_profiling()
         (weight * weight).sum().backward()
         opt.step()
-        stop_profiling(emit=False)
+        stop_profiling()
         assert prof.steps == 1
         assert len(prof.mem_timeline) == 1
         assert prof.mem_timeline[0]["step"] == 1
@@ -361,18 +353,18 @@ class TestRunIntegration:
         assert fp_a == fp_b
 
     def test_emit_outside_trace_is_safe(self):
-        start_profiling(instrument_backend=False)
+        start_profiling()
         with _prof.phase("p"):
             Tensor(np.ones(4), requires_grad=True).sum().backward()
-        assert stop_profiling(emit=True) is not None  # no tracer active
+        assert stop_profiling() is not None  # no tracer active
 
     def test_emitted_stats_survive_inside_a_trace(self, tmp_path):
         with tracing(tmp_path):
-            start_profiling(instrument_backend=False)
+            start_profiling()
             with _prof.phase("p"):
                 with _prof.op("custom.kernel"):
                     sum(range(1000))
-            stop_profiling(emit=True)
+            stop_profiling()
         events, _ = read_trace(tmp_path)
         kernel_rows = [e for e in events if e.get("kind") == "kernel_stats"]
         assert any(e["op"] == "custom.kernel" for e in kernel_rows)

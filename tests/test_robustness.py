@@ -81,7 +81,8 @@ class TestDegenerateData:
     def test_evaluation_with_all_equal_scores_scores_zero_hits(self):
         span = SpanDataset(span_index=1)
         span.users[0] = UserSpanData(user=0, train_items=[1], test_item=2)
-        result = evaluate_span(lambda u: np.zeros(100), span, k=20)
+        result = evaluate_span(lambda users: np.zeros((len(users), 100)), span,
+                               k=20)
         assert result.hr == 0.0  # pessimistic tie-breaking
 
     def test_one_user_stream_pipeline(self, train_config):

@@ -209,8 +209,7 @@ def reference_backward(root: Tensor, grad=None) -> None:
             contrib = fn(node_grad)
             if isinstance(contrib, _RowGrad):
                 table = np.zeros_like(parent.data)
-                backend.active.scatter_add(table, contrib.indices,
-                                           contrib.updates)
+                backend.scatter_add(table, contrib.indices, contrib.updates)
                 contrib = table
             key = id(parent)
             grads[key] = grads[key] + contrib if key in grads else contrib

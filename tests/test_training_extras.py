@@ -1,66 +1,11 @@
-"""Tests for early stopping, seed averaging, and routing options."""
+"""Tests for seed averaging and routing options."""
 
 import numpy as np
 import pytest
 
-from repro.experiments import make_strategy, run_repeated
-from repro.incremental import FineTune, TrainConfig
+from repro.experiments import run_repeated
+from repro.incremental import TrainConfig
 from repro.models import ComiRecDR
-
-
-class TestEarlyStopping:
-    def test_val_fn_stops_epoch_loop(self, tiny_split):
-        config = TrainConfig(epochs_pretrain=50, epochs_incremental=2,
-                             patience=1, seed=0)
-        strategy = FineTune(
-            ComiRecDR(tiny_split.num_items, dim=10, num_interests=2, seed=0),
-            tiny_split, config)
-        from repro.incremental.strategy import build_payloads
-
-        payloads = build_payloads(tiny_split.pretrain, config)
-        epochs_seen = []
-
-        def epoch_hook(epoch, payload):
-            if not epochs_seen or epochs_seen[-1] != epoch:
-                epochs_seen.append(epoch)
-
-        # a constant validation score never improves -> stop after
-        # 1 + patience epochs
-        strategy._train(payloads, epochs=50, epoch_hook=epoch_hook,
-                        val_fn=lambda: 0.0)
-        assert len(epochs_seen) <= 2
-
-    def test_config_early_stopping_runs(self, tiny_split):
-        config = TrainConfig(epochs_pretrain=30, epochs_incremental=2,
-                             early_stopping=True, patience=1, seed=0)
-        strategy = FineTune(
-            ComiRecDR(tiny_split.num_items, dim=10, num_interests=2, seed=0),
-            tiny_split, config)
-        import time
-        start = time.perf_counter()
-        strategy.pretrain()
-        stopped = time.perf_counter() - start
-
-        config_full = TrainConfig(epochs_pretrain=30, epochs_incremental=2,
-                                  early_stopping=False, seed=0)
-        full = FineTune(
-            ComiRecDR(tiny_split.num_items, dim=10, num_interests=2, seed=0),
-            tiny_split, config_full)
-        start = time.perf_counter()
-        full.pretrain()
-        unstopped = time.perf_counter() - start
-        assert stopped < unstopped  # early stopping saved epochs
-
-    def test_payload_val_score_in_unit_interval(self, tiny_split):
-        config = TrainConfig(epochs_pretrain=1, epochs_incremental=1, seed=0)
-        strategy = FineTune(
-            ComiRecDR(tiny_split.num_items, dim=10, num_interests=2, seed=0),
-            tiny_split, config)
-        from repro.incremental.strategy import build_payloads
-
-        payloads = build_payloads(tiny_split.pretrain, config)
-        score = strategy._payload_val_score(payloads)
-        assert 0.0 <= score <= 1.0
 
 
 class TestRunRepeated:

@@ -9,15 +9,16 @@ world three ways:
 
 * a clean offset-journaled run — **events/sec** (the headline number)
   and the journal's overhead vs an unjournaled run;
-* a dirty run under a delivery-fault mix (duplicates + malformed
-  events) — the **quarantine rate** and its throughput tax;
+* a dirty run over the same events with redelivered and malformed ones
+  mixed into the list — the **quarantine rate** and its throughput tax;
 * a poisoned run (NaN injected into the parameters mid-stream) — the
   **recovery latency**: wall time of the commit boundary that detects
   the anomaly, rolls back, and the one that retrains the queued events,
   read from the run's own obs trace.
 
 Emits a JSON report that ``benchmarks/summarize.py --stream`` folds
-into the markdown summary.
+into the markdown summary, and exits 1 unless the dirty run quarantined
+exactly the bad events mixed in, counted per reason.
 """
 
 from __future__ import annotations
@@ -27,15 +28,17 @@ import json
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.data import WorldConfig, generate_world, split_time_spans
 from repro.experiments import make_strategy
 from repro.faults import FaultPlan, active
 from repro.incremental import TrainConfig
 from repro.obs import read_trace
-from repro.stream import StreamConfig, events_from_split, run_stream
+from repro.stream import (StreamConfig, StreamEvent, events_from_split,
+                          run_stream)
 
 PROBE_WORLD = WorldConfig(
     num_users=24,
@@ -67,6 +70,26 @@ def build_strategy(split):
         "FT", "ComiRec-DR", split, config,
         model_kwargs={"dim": 16, "num_interests": 2},
     )
+
+
+def with_bad_events(events: List[StreamEvent]
+                    ) -> Tuple[List[StreamEvent], Dict[str, int]]:
+    """``events`` with a redelivered copy after every 20th event from the
+    6th, and every 20th from the 16th with its item mangled to -1; also
+    returns how many of each were mixed in, by quarantine reason."""
+    dirty: List[StreamEvent] = []
+    injected = {"duplicate": 0, "malformed-item": 0}
+    for offset, event in enumerate(events):
+        if offset % 20 == 15:
+            dirty.append(replace(event, item=-1))
+            injected["malformed-item"] += 1
+            continue
+        dirty.append(event)
+        if offset % 20 == 5:
+            # a redelivery carries a fresh seq and the same content
+            dirty.append(replace(event, seq=len(events) + offset))
+            injected["duplicate"] += 1
+    return dirty, injected
 
 
 def timed_run(split, events, config, checkpoint_dir=None, trace_dir=None,
@@ -112,7 +135,7 @@ def recovery_latency_s(trace_dir: Path) -> Optional[float]:
 def measure(repeats: int = 3, workdir: Optional[Path] = None) -> dict:
     split = build_split()
     events = events_from_split(split, seed=0)
-    config = StreamConfig(checkpoint_every=64, backoff_base=0.0)
+    config = StreamConfig(checkpoint_every=64)
 
     with tempfile.TemporaryDirectory() as fallback:
         base = Path(workdir) if workdir is not None else Path(fallback)
@@ -127,15 +150,9 @@ def measure(repeats: int = 3, workdir: Optional[Path] = None) -> dict:
         journaled_s = min(journaled_times)
         events_per_sec = len(events) / journaled_s
 
-        # delivery-fault mix: a duplicate and a malformed event every
-        # ~20 source events
-        dirty_plan = FaultPlan()
-        for nth in range(5, len(events), 20):
-            dirty_plan.duplicate_event(nth)
-            dirty_plan.malform_event(nth + 10, fld="item")
-        dirty_s, dirty = timed_run(split, events, config,
-                                   checkpoint_dir=base / "dirty",
-                                   plan=dirty_plan)
+        dirty_events, injected = with_bad_events(events)
+        dirty_s, dirty = timed_run(split, dirty_events, config,
+                                   checkpoint_dir=base / "dirty")
 
         poison_plan = FaultPlan().poison_params_after_event(
             events[len(events) // 2].seq)
@@ -159,7 +176,7 @@ def measure(repeats: int = 3, workdir: Optional[Path] = None) -> dict:
                 "intervals_committed": len(clean.intervals),
             },
             "quarantine": {
-                "injected_faults": len(dirty_plan.faults),
+                "injected": injected,
                 "quarantined": dict(dirty.quarantined),
                 "quarantine_rate": round(
                     dirty.quarantined_total / dirty.scored, 4)
@@ -190,6 +207,12 @@ def main(argv: List[str]) -> int:
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         print(blob)
+    quarantine = report["quarantine"]
+    if quarantine["quarantined"] != quarantine["injected"]:
+        print(f"error: the dirty run quarantined {quarantine['quarantined']}"
+              f", but {quarantine['injected']} bad events were mixed in",
+              file=sys.stderr)
+        return 1
     return 0
 
 

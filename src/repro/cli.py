@@ -27,11 +27,12 @@ Commands
     Export a profiled trace as a flamegraph: collapsed stacks
     (``--out``), speedscope JSON (``--speedscope``), and the critical
     path through the span tree (``--critical-path``).
-``stream run DATASET MODEL STRATEGY``
+``stream run DATASET MODEL FT``
     Prequential (test-then-learn) streaming run over the dataset's
     event stream with the full robustness envelope — validation gate +
     quarantine, offset-journaled exactly-once commits, retry-with-
-    backoff, graceful degradation (:mod:`repro.stream`).
+    backoff, graceful degradation (:mod:`repro.stream`).  FT is the
+    only strategy: the stream's learn step is FT's.
     ``--checkpoint-dir`` + ``--resume`` continue a crashed run
     metric-identically from its last committed interval.
 """
@@ -55,6 +56,7 @@ from .experiments import (
 from .incremental import STRATEGY_REGISTRY
 from .models import MODEL_REGISTRY
 from .obs.log import configure_logging, get_logger
+from .stream.pipeline import STREAM_STRATEGY
 
 logger = get_logger(__name__)
 
@@ -156,7 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="test-then-learn over the dataset's event stream")
     p_stream_run.add_argument("dataset", choices=DATASET_NAMES)
     p_stream_run.add_argument("model", choices=sorted(MODEL_REGISTRY))
-    p_stream_run.add_argument("strategy", choices=sorted(STRATEGY_REGISTRY))
+    p_stream_run.add_argument(
+        "strategy", choices=[STREAM_STRATEGY],
+        help=f"the stream runs {STREAM_STRATEGY}'s learn step, so "
+             f"{STREAM_STRATEGY} is the only choice")
     p_stream_run.add_argument("--scale", type=float, default=1.0)
     p_stream_run.add_argument("--epochs", type=int, default=10,
                               help="pretraining epochs before streaming")

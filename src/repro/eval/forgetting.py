@@ -17,7 +17,7 @@ should forget markedly less — the mechanism behind Table III's gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -81,10 +81,8 @@ class ForgettingReport:
 def forgetting_analysis(
     strategy: IncrementalStrategy,
     split: TemporalSplit,
-    spans: Optional[List[int]] = None,
-    eval_targets: str = "test",
 ) -> ForgettingReport:
-    """Run the strategy through its spans, re-testing all earlier spans.
+    """Train spans ``1..T-1`` in turn, re-testing all earlier spans.
 
     The strategy must be freshly constructed; this function calls
     ``pretrain()`` and ``train_span()`` itself.  Evaluation of span ``j``
@@ -92,20 +90,20 @@ def forgetting_analysis(
     forward-test protocol, so ``R[i, j]`` reads "after training span i,
     how well do we predict what users did right after span j".
 
-    ``eval_targets`` defaults to the strict ``"test"`` protocol here —
-    unlike the headline evaluation, retrospective rows would otherwise
-    score items the model has since *trained on* (spans j+1..i), which
-    masks forgetting with leakage.
+    Evaluation uses the strict ``targets="test"`` protocol — unlike the
+    headline evaluation, retrospective rows would otherwise score items
+    the model has since *trained on* (spans j+1..i), which masks
+    forgetting with leakage.
     """
     strategy.pretrain()
-    spans = spans or list(range(1, split.T))
+    spans = list(range(1, split.T))
     n = len(spans)
     matrix = np.full((n, n), np.nan)
     for i, span_i in enumerate(spans):
         strategy.train_span(span_i)
         for j, span_j in enumerate(spans[: i + 1]):
             result = evaluate_span(strategy.score_users,
-                                   split.spans[span_j], targets=eval_targets)
+                                   split.spans[span_j], targets="test")
             matrix[i, j] = result.hr
     return ForgettingReport(matrix=matrix, spans=spans)
 

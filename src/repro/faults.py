@@ -25,10 +25,6 @@ Probe points fired by the substrate
 
 Probe points fired by the streaming pipeline (:mod:`repro.stream`)
 ------------------------------------------------------------------
-``stream-event``          as each source event is pulled (info: ``seq``,
-                          ``user``, ``item``, ``offset``) — where the
-                          delivery faults (``duplicate``, ``malform``,
-                          ``reorder``, ``flood``) act as modifiers
 ``stream-event-boundary`` after one event is fully processed (info:
                           ``seq``, ``offset``)
 ``stream-trained``        after training on one event (info: ``seq``,
@@ -36,6 +32,9 @@ Probe points fired by the streaming pipeline (:mod:`repro.stream`)
 ``stream-boundary``       after a commit interval's checkpoint + stream
                           journal landed (info: ``interval``,
                           ``offset``)
+
+Bad input is not a fault here: a stream's duplicated, malformed, late
+and never-seen events are part of the event list it is given.
 
 Example
 -------
@@ -193,41 +192,11 @@ class FaultPlan:
     # ------------------------------------------------------------------ #
     # streaming fault kinds (consumed by repro.stream)
     # ------------------------------------------------------------------ #
-    def duplicate_event(self, nth: int) -> "FaultPlan":
-        """Redeliver the ``nth`` source event immediately after itself —
-        at-least-once delivery; the dedup gate must quarantine the copy."""
-        self.faults.append(Fault("stream-event", "modifier", at=nth,
-                                 payload={"duplicate": True}))
-        return self
-
-    def malform_event(self, nth: int, fld: str = "item") -> "FaultPlan":
-        """Corrupt one field of the ``nth`` source event (``user`` /
-        ``item`` become -1, ``ts`` becomes NaN) — the validation gate
-        must quarantine it with a structured reason."""
-        self.faults.append(Fault("stream-event", "modifier", at=nth,
-                                 payload={"malform": fld}))
-        return self
-
-    def reorder_event(self, nth: int, delay: int = 3) -> "FaultPlan":
-        """Hold the ``nth`` source event back for ``delay`` later events,
-        so it arrives behind the watermark — late-but-tolerable events
-        train, hopelessly stale ones are quarantined."""
-        self.faults.append(Fault("stream-event", "modifier", at=nth,
-                                 payload={"reorder": int(delay)}))
-        return self
-
     def io_error_burst(self, first: int = 0, length: int = 3) -> "FaultPlan":
         """Fail ``length`` consecutive atomic writes starting at the
         ``first`` occurrence — exercises seeded retry-with-backoff."""
         for k in range(length):
             self.faults.append(Fault("io-write", "io-error", at=first + k))
-        return self
-
-    def cold_start_flood(self, nth: int, count: int = 8) -> "FaultPlan":
-        """Inject a burst of ``count`` never-seen user/item events after
-        the ``nth`` source event — mid-stream cold start under pressure."""
-        self.faults.append(Fault("stream-event", "modifier", at=nth,
-                                 payload={"flood": int(count)}))
         return self
 
     def crash_at_stream_boundary(self, interval: int) -> "FaultPlan":

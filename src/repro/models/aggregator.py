@@ -47,9 +47,11 @@ def score_items_batch(interest_list: Sequence[np.ndarray],
     batching win comes from amortizing the Python call overhead and
     from the vectorized rank/metric pipeline downstream
     (:func:`repro.eval.ranks_of_user_targets`), not from changing any
-    floating-point computation.
+    floating-point computation.  The matrix is allocated in the
+    catalog's dtype, the compute dtype.
     """
-    out = np.empty((len(interest_list), item_embeddings.shape[0]))
+    out = np.empty((len(interest_list), item_embeddings.shape[0]),
+                   dtype=item_embeddings.dtype)
     for u, interests in enumerate(interest_list):
         out[u] = score_items(interests, item_embeddings)
     return out

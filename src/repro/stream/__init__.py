@@ -1,7 +1,7 @@
 """repro.stream — resilient prequential (test-then-learn) streaming.
 
-The pipeline consumes raw ``(user, item, ts)`` events one at a time,
-scoring each before training on it, inside a robustness envelope:
+The pipeline consumes a list of raw ``(user, item, ts)`` events one at
+a time, scoring each before training on it, inside a robustness envelope:
 validation gate + dead-letter quarantine, offset-journaled exactly-once
 commits, seeded retry-with-backoff on transient IO, and a graceful-
 degradation state machine that demotes to score-only serving on
@@ -10,7 +10,6 @@ anomalies and recovers once a clean interval commits.  See
 """
 
 from .events import (
-    GateConfig,
     Quarantine,
     StreamEvent,
     events_from_split,
@@ -29,7 +28,6 @@ from .pipeline import (
 
 __all__ = [
     "StreamEvent",
-    "GateConfig",
     "validate_event",
     "events_from_split",
     "Quarantine",

@@ -6,7 +6,9 @@ NaN timestamps, at-least-once redeliveries, events arriving days late.
 The validation gate classifies each event *before* it can touch model
 state; rejects land in a persisted dead-letter file (the quarantine)
 with a structured reason, so operators can audit exactly what was
-dropped and why, and nothing malformed ever trains.
+dropped and why, and nothing malformed ever trains.  Users and items
+the model has never seen pass the gate: the pipeline grows them in
+place.
 
 Quarantine reasons
 ------------------
@@ -17,10 +19,8 @@ Quarantine reasons
 ``duplicate``
     the ``(user, item, ts)`` key was seen within the dedup window
 ``stale``
-    the event is older than ``watermark - max_lateness`` (hopelessly
+    the event is older than ``watermark - MAX_LATENESS`` (hopelessly
     late; merely late events still train)
-``unknown-item`` / ``unknown-user``
-    id beyond the catalog while cold-start growth is disabled
 ``degraded-dropped``
     queued during a degradation spell the pipeline could not recover
     from within its attempt budget (emitted by the pipeline, not the
@@ -42,7 +42,6 @@ PathLike = Union[str, Path]
 
 __all__ = [
     "StreamEvent",
-    "GateConfig",
     "validate_event",
     "events_from_split",
     "Quarantine",
@@ -84,19 +83,12 @@ def _is_id(value) -> bool:
             and not isinstance(value, bool) and int(value) >= 0)
 
 
-@dataclass
-class GateConfig:
-    """Validation-gate policy knobs (see :func:`validate_event`)."""
-
-    max_lateness: float = 50.0
-    allow_new_users: bool = True
-    allow_new_items: bool = True
+#: events older than ``watermark - MAX_LATENESS`` (event time) are stale
+MAX_LATENESS = 50.0
 
 
 def validate_event(event: StreamEvent, *, watermark: float,
-                   seen_keys: Set[Tuple], num_items: int,
-                   known_users: Set[int],
-                   gate: GateConfig) -> Optional[Tuple[str, str]]:
+                   seen_keys: Set[Tuple]) -> Optional[Tuple[str, str]]:
     """Classify one event; returns ``(reason, detail)`` or None to accept.
 
     Checks run cheapest-first and the first failure wins, so a
@@ -111,14 +103,10 @@ def validate_event(event: StreamEvent, *, watermark: float,
         return "malformed-timestamp", f"timestamp {event.ts!r} is not finite"
     if event.key() in seen_keys:
         return "duplicate", f"key (user={event.user}, item={event.item}, ts={event.ts}) already seen"
-    if float(event.ts) < watermark - gate.max_lateness:
+    if float(event.ts) < watermark - MAX_LATENESS:
         return "stale", (f"ts {event.ts} is {watermark - float(event.ts):.1f} "
                          f"behind the watermark {watermark} "
-                         f"(max_lateness={gate.max_lateness})")
-    if not gate.allow_new_items and int(event.item) >= num_items:
-        return "unknown-item", f"item {event.item} >= catalog size {num_items}"
-    if not gate.allow_new_users and int(event.user) not in known_users:
-        return "unknown-user", f"user {event.user} never seen and growth disabled"
+                         f"(max_lateness={MAX_LATENESS})")
     return None
 
 

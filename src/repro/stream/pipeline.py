@@ -1,16 +1,19 @@
 """Fault-tolerant prequential (test-then-learn) streaming driver.
 
-The pipeline consumes a chronological event stream and, per event:
+The pipeline's one input is a list of events in delivery order, and it
+takes each as it comes: a redelivered, malformed, late or never-seen
+event is in the list like any other, and the gate decides what to do
+with it.  Per event:
 
-1. **gate** — validate against the dedup ring / watermark / catalog;
+1. **gate** — validate against the dedup ring and the watermark;
    rejects land in the dead-letter quarantine with a structured reason
    (:mod:`repro.stream.events`);
 2. **score** — rank the event's item under the user's *current* stored
    interests (test-then-learn: the score is an honest out-of-sample
    measurement, taken before the event can influence the model) and
    fold hit@k / NDCG@k into a sliding window;
-3. **learn** — one incremental training step on the event: the span
-   trainer's per-user step with the event's item as its one target
+3. **learn** — one incremental training step on the event: FT's
+   per-user step with the event's item as its one target
    (skipped in degraded mode: the event is queued in the bounded
    ingest buffer);
 4. **commit** — every ``checkpoint_every`` source events the model
@@ -62,13 +65,7 @@ from ..obs import prof as _prof
 from ..obs import trace as obs
 from ..obs.metrics import LATENCY_EDGES
 from ..persistence import load_checkpoint, run_fingerprint, save_checkpoint
-from .events import (
-    GateConfig,
-    Quarantine,
-    StreamEvent,
-    events_from_split,
-    validate_event,
-)
+from .events import Quarantine, StreamEvent, events_from_split, validate_event
 from .journal import IntervalRecord, chain_extend
 
 PathLike = Union[str, Path]
@@ -88,42 +85,48 @@ __all__ = [
 ]
 
 
+#: the one strategy whose method the stream runs: its learn step is
+#: FT's per-user step, without the hooks the other strategies add
+STREAM_STRATEGY = "FT"
+
+# Stream policy constants.  Tests monkeypatch them where they need small
+# values, so the pipeline reads them at call time.
+#: cutoff for the per-event hit/NDCG measurement
+K = 20
+#: per-user history tail used for interest extraction per step
+MAX_HISTORY = 50
+#: dedup ring size (distinct recent event keys remembered)
+DEDUP_WINDOW = 512
+#: bounded ingest buffer capacity while degraded (backpressure)
+BUFFER_SIZE = 256
+#: scored events before the recall floor arms (and re-arms after a
+#: recovery) — a cold window must not trip the guard
+WARMUP = 64
+#: degraded-spell recovery attempts before the queue is dropped
+MAX_RECOVERY_ATTEMPTS = 3
+#: transient-IO retries per commit write (after the first try)
+MAX_RETRIES = 4
+#: base backoff delay in seconds; attempt ``a`` sleeps
+#: ``BACKOFF_BASE * 2^a * jitter`` with jitter in [0.5, 1.0) drawn from
+#: a generator seeded with ``BACKOFF_SEED``
+BACKOFF_BASE = 0.05
+BACKOFF_SEED = 0
+
+
 @dataclass
 class StreamConfig:
-    """Streaming pipeline policy knobs."""
+    """The stream settings a caller chooses; the rest are constants.
+
+    These are ``repro stream run``'s options; every other policy value
+    is one of the module constants above."""
 
     #: source events per commit interval (checkpoint + journal write)
     checkpoint_every: int = 32
     #: sliding-window length (events) for incremental recall/NDCG
     window: int = 64
-    #: cutoff for the per-event hit/NDCG measurement
-    k: int = 20
-    #: per-user history tail used for interest extraction per step
-    max_history: int = 50
-    #: dedup ring size (distinct recent event keys remembered)
-    dedup_window: int = 512
-    #: events older than ``watermark - max_lateness`` are stale
-    max_lateness: float = 50.0
-    #: bounded ingest buffer capacity while degraded (backpressure)
-    buffer_size: int = 256
     #: demote to score-only when window recall drops below this
     #: (0.0 disables the floor; the non-finite guard is always on)
     min_window_recall: float = 0.0
-    #: scored events before the recall floor arms (and re-arms after a
-    #: recovery) — a cold window must not trip the guard
-    warmup: int = 64
-    #: degraded-spell recovery attempts before the queue is dropped
-    max_recovery_attempts: int = 3
-    #: transient-IO retries per commit write (after the first try)
-    max_retries: int = 4
-    #: base backoff delay in seconds; attempt ``a`` sleeps
-    #: ``base * 2^a * jitter`` with seeded jitter in [0.5, 1.0)
-    backoff_base: float = 0.05
-    backoff_seed: int = 0
-    #: create user states / grow the item table for unseen ids; when
-    #: off such events are quarantined (``unknown-user``/``unknown-item``)
-    grow_users: bool = True
-    grow_items: bool = True
 
 
 @dataclass
@@ -194,11 +197,6 @@ class _Pipeline:
         self.resume = resume
         self.dataset_name = dataset_name
         self.model_name = model_name
-        self.gate = GateConfig(
-            max_lateness=config.max_lateness,
-            allow_new_users=config.grow_users,
-            allow_new_items=config.grow_items,
-        )
 
         self.journal: Optional[Journal] = None
         self.quarantine: Optional[Quarantine] = None
@@ -218,11 +216,11 @@ class _Pipeline:
         self.counters: Dict[str, int] = {
             "scored": 0, "trained": 0, "queued": 0, "dropped": 0,
             "backoffs": 0, "degraded_spells": 0, "recoveries": 0,
-            "users_created": 0, "items_grown": 0, "flood_injected": 0,
+            "users_created": 0, "items_grown": 0,
             "skipped_no_history": 0, "nonfinite_skips": 0,
         }
         self.quarantined_by_reason: Dict[str, int] = {}
-        self._floor_arm = config.warmup
+        self._floor_arm = WARMUP
 
         # ---- per-interval accumulators (reset at each commit) ----------
         self._committed_chain = ""
@@ -232,8 +230,7 @@ class _Pipeline:
         self._records: List[IntervalRecord] = []
         self._opt: Optional[Adam] = None
 
-        self._delayed: List[Tuple[int, StreamEvent]] = []  # reorder faults
-        self._backoff_rng = np.random.default_rng(config.backoff_seed)
+        self._backoff_rng = np.random.default_rng(BACKOFF_SEED)
 
     # ------------------------------------------------------------------ #
     # journal state round-trip
@@ -357,23 +354,12 @@ class _Pipeline:
         total = len(self.events)
         with obs.span("stream.run", events=total, start_offset=self.offset):
             while self.offset < total:
-                for late in self._due_delayed():
-                    self._process(late)
                 event = self.events[self.offset]
                 self.offset += 1
-                mods = faults.fire("stream-event", seq=event.seq,
-                                   user=event.user, item=event.item,
-                                   offset=self.offset - 1)
-                event, followers = self._apply_delivery_mods(event, mods)
-                if event is not None:
-                    self._process(event)
-                for injected in followers:
-                    self._process(injected)
+                self._process(event)
                 if (self.offset - self._last_commit_offset
                         >= self.config.checkpoint_every):
                     self._boundary()
-            for late in self._due_delayed(drain=True):
-                self._process(late)
             if (self.offset > self._last_commit_offset
                     or self.mode == MODE_DEGRADED or self.pending):
                 self._boundary()
@@ -381,60 +367,12 @@ class _Pipeline:
             self.quarantine.close()
         return self._result()
 
-    def _due_delayed(self, drain: bool = False) -> List[StreamEvent]:
-        """Reordered events whose hold-back has elapsed, in release order."""
-        if not self._delayed:
-            return []
-        due = [(rel, evt) for rel, evt in self._delayed
-               if drain or rel <= self.offset]
-        self._delayed = [(rel, evt) for rel, evt in self._delayed
-                         if not (drain or rel <= self.offset)]
-        return [evt for _, evt in due]
-
-    def _apply_delivery_mods(self, event: StreamEvent, mods: dict):
-        """Apply delivery-fault modifiers from the ``stream-event`` probe.
-
-        Returns ``(event_or_None, follower_events)`` — ``None`` when the
-        event was held back (reorder).
-        """
-        followers: List[StreamEvent] = []
-        if not mods:
-            return event, followers
-        malform = mods.get("malform")
-        if malform == "user":
-            event = StreamEvent(event.seq, -1, event.item, event.ts)
-        elif malform == "item":
-            event = StreamEvent(event.seq, event.user, -1, event.ts)
-        elif malform == "ts":
-            event = StreamEvent(event.seq, event.user, event.item,
-                                float("nan"))
-        if mods.get("duplicate"):
-            followers.append(event)
-        flood = int(mods.get("flood", 0))
-        for burst_idx in range(flood):
-            n = self.counters["flood_injected"]
-            self.counters["flood_injected"] += 1
-            followers.append(StreamEvent(
-                seq=2_000_000 + n,
-                user=1_000_000 + n,          # each flood event: a new user
-                item=int(self.strategy.model.num_items) + burst_idx,  # …and a new item
-                ts=(0.0 if self.watermark == float("-inf")
-                    else self.watermark) + 1.0,
-            ))
-        delay = int(mods.get("reorder", 0))
-        if delay > 0:
-            self._delayed.append((self.offset + delay, event))
-            return None, followers
-        return event, followers
-
     # ------------------------------------------------------------------ #
     # per-event path: gate -> score -> learn
     # ------------------------------------------------------------------ #
     def _process(self, event: StreamEvent) -> None:
-        rejection = validate_event(
-            event, watermark=self.watermark, seen_keys=self._dedup,
-            num_items=self.strategy.model.num_items,
-            known_users=self.strategy.states.keys(), gate=self.gate)
+        rejection = validate_event(event, watermark=self.watermark,
+                                   seen_keys=self._dedup)
         if rejection is not None:
             self._quarantine(event, *rejection)
         else:
@@ -498,12 +436,12 @@ class _Pipeline:
 
         tail = self.histories.setdefault(user, [])
         tail.append(item)
-        if len(tail) > self.config.max_history:
-            del tail[:len(tail) - self.config.max_history]
+        if len(tail) > MAX_HISTORY:
+            del tail[:len(tail) - MAX_HISTORY]
 
     def _remember_key(self, key: Tuple) -> None:
         self._dedup[key] = None
-        while len(self._dedup) > self.config.dedup_window:
+        while len(self._dedup) > DEDUP_WINDOW:
             self._dedup.popitem(last=False)
 
     def _ensure_user(self, user: int) -> None:
@@ -525,8 +463,7 @@ class _Pipeline:
     def _score(self, user: int, item: int) -> Tuple[float, float]:
         """Prequential measurement: rank the item before learning it."""
         rank = rank_of_target(self.strategy.score_user(user), item)
-        k = self.config.k
-        return hit_at_k(rank, k), float(ndcg_at_k(rank, k))
+        return hit_at_k(rank, K), float(ndcg_at_k(rank, K))
 
     def _train_one(self, user: int, item: int,
                    history: Sequence[int]) -> bool:
@@ -534,8 +471,7 @@ class _Pipeline:
         if not history:
             self.counters["skipped_no_history"] += 1
             return False
-        payload = UserPayload(user=user,
-                              history=list(history)[-self.config.max_history:],
+        payload = UserPayload(user=user, history=list(history),
                               targets=[item])
         if self.strategy._train_user(payload, 0, self._optimizer()):
             return True
@@ -553,7 +489,7 @@ class _Pipeline:
 
     def _enqueue_pending(self, entry: dict) -> None:
         self.pending.append(entry)
-        if len(self.pending) > self.config.buffer_size:
+        if len(self.pending) > BUFFER_SIZE:
             dropped = self.pending.pop(0)
             self.counters["dropped"] += 1
             obs.counter("stream.backpressure_drops")
@@ -652,7 +588,7 @@ class _Pipeline:
             self.counters["recoveries"] += 1
             self.attempts = 0
             self.pending = []
-            self._floor_arm = self.counters["scored"] + self.config.warmup
+            self._floor_arm = self.counters["scored"] + WARMUP
             obs.counter("stream.recoveries")
             obs.event("stream.recovered", interval=self.interval,
                       retrained=retrained)
@@ -662,7 +598,7 @@ class _Pipeline:
         # the retrain itself went non-finite: roll back again and keep
         # the queue for another attempt — until the budget runs out
         self._restore_committed(requeue=False)
-        if self.attempts >= self.config.max_recovery_attempts:
+        if self.attempts >= MAX_RECOVERY_ATTEMPTS:
             for entry in self.pending:
                 self._quarantine(
                     StreamEvent(entry["seq"], entry["user"], entry["item"],
@@ -673,7 +609,7 @@ class _Pipeline:
             self.pending = []
             self.mode = MODE_HEALTHY  # committed state is clean again
             self.attempts = 0
-            self._floor_arm = self.counters["scored"] + self.config.warmup
+            self._floor_arm = self.counters["scored"] + WARMUP
             obs.event("stream.recovered", interval=self.interval,
                       retrained=0, dropped=dropped)
             self._record_incident(
@@ -726,14 +662,14 @@ class _Pipeline:
         exponential backoff.  Corruption errors (``CheckpointError``,
         ``JournalError`` — ``ValueError``s) and simulated crashes
         propagate: retrying cannot fix them."""
-        for attempt in range(self.config.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             try:
                 write()
                 return
             except OSError as err:
-                if attempt >= self.config.max_retries:
+                if attempt >= MAX_RETRIES:
                     raise
-                delay = (self.config.backoff_base * (2 ** attempt)
+                delay = (BACKOFF_BASE * (2 ** attempt)
                          * (0.5 + 0.5 * float(self._backoff_rng.random())))
                 self.counters["backoffs"] += 1
                 obs.counter("stream.backoffs")
@@ -779,16 +715,26 @@ def run_stream(
 ) -> StreamResult:
     """Run the prequential streaming pipeline over ``events``.
 
-    ``strategy`` must be freshly constructed (pre-pretraining) — the
-    pipeline pretrains on the strategy's split, then streams.  ``events``
-    defaults to a deterministic chronological stream derived from the
-    split's incremental spans (:func:`events_from_split`, seeded by the
-    training config).  With ``checkpoint_dir`` the run is crash-safe:
-    re-invoking with ``resume=True`` continues from the last committed
-    interval, metric-identical to an uninterrupted run.  ``trace_dir``
-    activates :mod:`repro.obs` tracing exactly as in
+    ``events`` is the stream's only input, in delivery order: a
+    redelivered, malformed, late or never-seen event in it goes through
+    the gate like any other.  It defaults to a deterministic
+    chronological stream derived from the split's incremental spans
+    (:func:`events_from_split`, seeded by the training config).
+    ``strategy`` must be a freshly constructed (pre-pretraining) FT
+    strategy — the pipeline pretrains on the strategy's split, then
+    streams.  The learn step is FT's per-user step, without the hooks
+    that NID, PIT, EIR, ADER's distillation and EWC's penalty add, so
+    any other strategy raises ``ValueError`` before anything is written.
+    With ``checkpoint_dir`` the run is crash-safe: re-invoking with
+    ``resume=True`` continues from the last committed interval,
+    metric-identical to an uninterrupted run.  ``trace_dir`` activates
+    :mod:`repro.obs` tracing exactly as in
     :func:`repro.experiments.runner.run_strategy`.
     """
+    if strategy.name != STREAM_STRATEGY:
+        raise ValueError(
+            f"the stream runs {STREAM_STRATEGY}'s learn step only, not "
+            f"{strategy.name}'s method; stream a {STREAM_STRATEGY} strategy")
     stream_config = config or StreamConfig()
     if events is None:
         events = events_from_split(strategy.split,

@@ -87,9 +87,14 @@ class TestScoreItemsBatch:
     def test_exact_mode_is_bitwise_identical(self, rng):
         emb = rng.normal(size=(60, 8))
         interests = self.make_interests(rng, 8, [0, 1, 2, 3, 3, 5, 2])
-        out = score_items_batch(interests, emb)
-        for u, iv in enumerate(interests):
-            assert np.array_equal(out[u], score_items(iv, emb))
+        for dtype in (np.float64, np.float32):
+            emb_d = emb.astype(dtype)
+            interests_d = [iv.astype(dtype) for iv in interests]
+            out = score_items_batch(interests_d, emb_d)
+            # float32 scores stay float32: half the bytes of float64
+            assert out.dtype == dtype
+            for u, iv in enumerate(interests_d):
+                assert np.array_equal(out[u], score_items(iv, emb_d))
 
     def test_empty_user_list(self, rng):
         emb = rng.normal(size=(10, 4))

@@ -16,7 +16,6 @@ from repro.incremental import TrainConfig
 from repro.journal import Journal, JournalError
 from repro.nn import Adam, Embedding, Parameter, SparseAdam
 from repro.stream import (
-    GateConfig,
     IntervalRecord,
     Quarantine,
     StreamEvent,
@@ -28,8 +27,7 @@ from repro.stream import (
 
 
 def gate_kwargs(**overrides):
-    base = dict(watermark=float("-inf"), seen_keys=set(), num_items=100,
-                known_users={1, 2, 3}, gate=GateConfig())
+    base = dict(watermark=float("-inf"), seen_keys=set())
     base.update(overrides)
     return base
 
@@ -70,17 +68,26 @@ class TestValidationGate:
         assert late is None
         assert stale is not None and stale[0] == "stale"
 
+    # Growth is always on, so "only when growth is disabled" is never: the
+    # gate knows no catalog and the pipeline grows unseen ids in place.
+    # An unseen id still goes through every check that remains.
+
     def test_unknown_item_only_when_growth_disabled(self):
-        frozen = GateConfig(allow_new_items=False)
         assert validate_event(ev(item=100), **gate_kwargs()) is None
-        verdict = validate_event(ev(item=100), **gate_kwargs(gate=frozen))
-        assert verdict is not None and verdict[0] == "unknown-item"
+        assert validate_event(ev(item=10**6),
+                              **gate_kwargs(watermark=10.0)) is None
+        seen = {ev(item=10**6).key()}
+        verdict = validate_event(ev(seq=4, item=10**6),
+                                 **gate_kwargs(seen_keys=seen))
+        assert verdict is not None and verdict[0] == "duplicate"
 
     def test_unknown_user_only_when_growth_disabled(self):
-        frozen = GateConfig(allow_new_users=False)
         assert validate_event(ev(user=99), **gate_kwargs()) is None
-        verdict = validate_event(ev(user=99), **gate_kwargs(gate=frozen))
-        assert verdict is not None and verdict[0] == "unknown-user"
+        assert validate_event(ev(user=10**6),
+                              **gate_kwargs(watermark=10.0)) is None
+        verdict = validate_event(ev(user=10**6, ts=1.0),
+                                 **gate_kwargs(watermark=1000.0))
+        assert verdict is not None and verdict[0] == "stale"
 
     def test_first_failure_wins(self):
         # malformed beats duplicate beats stale: one unambiguous reason
